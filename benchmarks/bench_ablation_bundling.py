@@ -16,44 +16,30 @@ from conftest import attach_rows, run_once
 
 from repro.core.experiments.performance import PerformanceExperiment
 from repro.core.workloads import workload_by_name
-from repro.services.base import CloudStorageClient
-from repro.services.registry import SERVICE_NAMES, dropbox_profile, googledrive_profile, register_service
+from repro.services.registry import get_profile, register_service, temporary_services
 
 WORKLOAD = workload_by_name("100x10kB")
 
 
-def _register_variant(name, base_profile_factory, **capability_overrides):
+def _register_variant(name, base_service, **capability_overrides):
     """Register a service variant with tweaked capabilities/connection policy."""
 
     def factory():
-        profile = base_profile_factory()
+        profile = get_profile(base_service)
         profile.name = name
         profile.display_name = name
         if capability_overrides:
             profile.capabilities = dataclasses.replace(profile.capabilities, **capability_overrides)
         return profile
 
-    class VariantClient(CloudStorageClient):
-        def __init__(self, simulator, profile=None, backend=None):
-            super().__init__(simulator, profile or factory(), backend)
-
-    register_service(name, factory, VariantClient)
-    return name
-
-
-def _cleanup(names):
-    for name in names:
-        if name in SERVICE_NAMES:
-            SERVICE_NAMES.remove(name)
+    register_service(name, factory)
 
 
 def test_ablation_bundling(benchmark):
     """Completion time for 100 x 10 kB with bundling toggled on/off."""
-    variants = [
-        _register_variant("dropbox-nobundle", dropbox_profile, bundling=False),
-        _register_variant("googledrive-bundled", googledrive_profile, bundling=True),
-    ]
-    try:
+    with temporary_services():
+        _register_variant("dropbox-nobundle", "dropbox", bundling=False)
+        _register_variant("googledrive-bundled", "googledrive", bundling=True)
         experiment = PerformanceExperiment(
             services=["dropbox", "dropbox-nobundle", "googledrive", "googledrive-bundled"],
             workloads=[WORKLOAD],
@@ -69,5 +55,3 @@ def test_ablation_bundling(benchmark):
         # Granting Google Drive bundling (and therefore connection reuse)
         # removes most of its per-file connection penalty.
         assert completion["googledrive-bundled"] < 0.5 * completion["googledrive"]
-    finally:
-        _cleanup(variants)

@@ -15,8 +15,7 @@ from conftest import attach_rows, run_once
 
 from repro.core.experiments.compression import CompressionExperiment
 from repro.filegen.model import FileKind
-from repro.services.base import CloudStorageClient
-from repro.services.registry import SERVICE_NAMES, dropbox_profile, register_service
+from repro.services.registry import get_profile, register_service, temporary_services
 from repro.sync.compression import CompressionPolicy
 from repro.units import MB
 
@@ -29,24 +28,20 @@ _POLICIES = {
 def _register_variants():
     for name, policy in _POLICIES.items():
         def factory(policy=policy, name=name):
-            profile = dropbox_profile()
+            profile = get_profile("dropbox")
             profile.name = name
             profile.display_name = name
             profile.capabilities = dataclasses.replace(profile.capabilities, compression=policy)
             return profile
 
-        class VariantClient(CloudStorageClient):
-            def __init__(self, simulator, profile=None, backend=None, factory=factory):
-                super().__init__(simulator, profile or factory(), backend)
-
-        register_service(name, factory, VariantClient)
+        register_service(name, factory)
 
 
 def test_ablation_compression_policy(benchmark):
     """Uploaded volume per content class under never/always/smart compression."""
-    _register_variants()
     services = ["dropbox", *list(_POLICIES)]
-    try:
+    with temporary_services():
+        _register_variants()
         experiment = CompressionExperiment(services, sizes=[1 * MB])
         result = run_once(benchmark, experiment.run)
         attach_rows(benchmark, "ablation_compression", result.rows())
@@ -65,7 +60,3 @@ def test_ablation_compression_policy(benchmark):
         # Random bytes: policy is irrelevant, nothing shrinks.
         for service in services:
             assert uploaded(service, FileKind.BINARY) > 0.9
-    finally:
-        for name in _POLICIES:
-            if name in SERVICE_NAMES:
-                SERVICE_NAMES.remove(name)

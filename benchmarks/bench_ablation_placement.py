@@ -17,15 +17,14 @@ from conftest import attach_rows, run_once
 from repro.core.experiments.performance import PerformanceExperiment
 from repro.core.workloads import workload_by_name
 from repro.geo.datacenters import provider_datacenters
-from repro.services.base import CloudStorageClient
-from repro.services.registry import SERVICE_NAMES, dropbox_profile, register_service
+from repro.services.registry import get_profile, register_service, temporary_services
 
 
 def _register_eu_dropbox():
     """A Dropbox variant whose storage servers sit in Europe."""
 
     def factory():
-        profile = dropbox_profile()
+        profile = get_profile("dropbox")
         profile.name = "dropbox-eu"
         profile.display_name = "Dropbox (EU storage)"
         european_site = provider_datacenters("wuala")[0]
@@ -34,17 +33,13 @@ def _register_eu_dropbox():
         ]
         return profile
 
-    class EuDropboxClient(CloudStorageClient):
-        def __init__(self, simulator, profile=None, backend=None):
-            super().__init__(simulator, profile or factory(), backend)
-
-    register_service("dropbox-eu", factory, EuDropboxClient)
+    register_service("dropbox-eu", factory)
 
 
 def test_ablation_datacenter_placement(benchmark):
     """Move Dropbox's storage next to the testbed and compare both workloads."""
-    _register_eu_dropbox()
-    try:
+    with temporary_services():
+        _register_eu_dropbox()
         experiment = PerformanceExperiment(
             services=["dropbox", "dropbox-eu"],
             workloads=[workload_by_name("1x1MB"), workload_by_name("100x10kB")],
@@ -62,6 +57,3 @@ def test_ablation_datacenter_placement(benchmark):
         assert single_gain > 1.15
         # Many small files: per-file/commit costs dominate, placement helps less.
         assert batch_gain < single_gain
-    finally:
-        if "dropbox-eu" in SERVICE_NAMES:
-            SERVICE_NAMES.remove("dropbox-eu")

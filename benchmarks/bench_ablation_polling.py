@@ -14,14 +14,13 @@ import dataclasses
 from conftest import attach_rows, run_once
 
 from repro.core.experiments.idle import IdleExperiment
-from repro.services.base import CloudStorageClient
-from repro.services.registry import SERVICE_NAMES, clouddrive_profile, register_service
+from repro.services.registry import get_profile, register_service, temporary_services
 from repro.units import minutes
 
 
 def _register_persistent_clouddrive():
     def factory():
-        profile = clouddrive_profile()
+        profile = get_profile("clouddrive")
         profile.name = "clouddrive-persistent"
         profile.display_name = "Cloud Drive (persistent poll channel)"
         profile.polling = dataclasses.replace(
@@ -29,17 +28,13 @@ def _register_persistent_clouddrive():
         )
         return profile
 
-    class PersistentCloudDriveClient(CloudStorageClient):
-        def __init__(self, simulator, profile=None, backend=None):
-            super().__init__(simulator, profile or factory(), backend)
-
-    register_service("clouddrive-persistent", factory, PersistentCloudDriveClient)
+    register_service("clouddrive-persistent", factory)
 
 
 def test_ablation_polling_connection_reuse(benchmark):
     """Same 15 s polling interval, with and without a fresh HTTPS connection per poll."""
-    _register_persistent_clouddrive()
-    try:
+    with temporary_services():
+        _register_persistent_clouddrive()
         experiment = IdleExperiment(["clouddrive", "clouddrive-persistent"], duration=minutes(16))
         result = run_once(benchmark, experiment.run)
         attach_rows(benchmark, "ablation_polling", result.rows())
@@ -47,6 +42,3 @@ def test_ablation_polling_connection_reuse(benchmark):
         fixed = result.services["clouddrive-persistent"]
         assert wasteful.background_rate_bps > 8 * fixed.background_rate_bps
         assert fixed.connections_opened < wasteful.connections_opened / 10
-    finally:
-        if "clouddrive-persistent" in SERVICE_NAMES:
-            SERVICE_NAMES.remove("clouddrive-persistent")

@@ -8,10 +8,10 @@ the same tree emit the same bytes" holds by construction.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from repro.analysis.findings import Finding
+from repro.specio import canonical_text
 
 __all__ = ["REPORT_VERSION", "render_text", "render_json"]
 
@@ -35,4 +35,4 @@ def render_json(findings: Sequence[Finding], *, files_linted: int) -> str:
         "count": len(findings),
         "findings": [finding.to_dict() for finding in sorted(findings)],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return canonical_text(payload)

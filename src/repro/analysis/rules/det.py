@@ -18,13 +18,10 @@ corrupt a store:
   randomness flows through explicitly seeded ``random.Random`` instances
   from :func:`repro.randomness.make_rng`.
 * **DET003** — wall clocks (``time.time()``, ``datetime.now()``/
-  ``utcnow()``/``today()``) outside the four allowlisted homes: the
-  work-stealing lease board (:mod:`repro.dist.claims`, heartbeat ages),
-  the store's TTL GC (:mod:`repro.core.store`), the benchmark
-  harness's environment block (:mod:`repro.perf.environment`, the run
-  timestamp of a ``BENCH`` document) and the tracer's wall-domain
-  context stamp (:mod:`repro.obs.wallclock` — the *stripped* half of a
-  flight record).  Monotonic timing
+  ``utcnow()``/``today()``) outside their one home,
+  :mod:`repro.wallclock`, which lease ages, the store's TTL GC, the
+  flight record's wall stamp and the benchmark document's run timestamp
+  all call.  Monotonic timing
   (``time.perf_counter``/``time.monotonic``) is fine — it feeds the
   run-specific timings record, never the deterministic documents.
 * **DET004** — ``json.dumps``/``json.dump`` without an explicit
@@ -133,12 +130,7 @@ class GlobalRandomRule(Rule):
 class WallClockRule(Rule):
     rule_id = "DET003"
     title = "wall clock in a deterministic path"
-    allowlist = (
-        "repro/dist/claims.py",
-        "repro/core/store.py",
-        "repro/perf/environment.py",
-        "repro/obs/wallclock.py",
-    )
+    allowlist = ("repro/wallclock.py",)
 
     def _is_wall_clock(self, func: ast.AST) -> bool:
         pair = _attribute_pair(func)
@@ -158,8 +150,8 @@ class WallClockRule(Rule):
                     node,
                     self.rule_id,
                     "wall clock in a deterministic path: cell payloads and documents must be "
-                    "pure functions of (plan, seed, config); clocks live only in lease ages "
-                    "and store TTLs",
+                    "pure functions of (plan, seed, config); read real time only through "
+                    "repro/wallclock.py",
                 )
             elif isinstance(node, ast.ImportFrom) and node.module == "time":
                 if any(alias.name == "time" for alias in node.names):

@@ -12,8 +12,9 @@ paper's testing application:
   bundling, deduplication, delta encoding and compression (Table 1);
 * :mod:`repro.core.experiments` — one experiment class per figure/table of
   the evaluation;
-* :mod:`repro.core.runner` — the full benchmark suite (8 experiments with
-  repetitions and cool-down pauses);
+* :mod:`repro.core.campaign` — the campaign engine: every stage of the
+  suite as a grid of independent cells, fanned out and merged into a
+  :class:`~repro.core.campaign.SuiteResult`;
 * :mod:`repro.core.report` — plain-text/CSV rendering of the paper's tables
   and figure series.
 """
@@ -37,7 +38,7 @@ from repro.core.capabilities import (
     DeltaEncodingResult,
     CompressionResult,
 )
-from repro.core.runner import BenchmarkSuite, SuiteResult
+from repro.core.campaign import SuiteResult
 from repro.core.sweep import SweepResult, sweep_from_results
 from repro.core.report import render_table, to_csv
 
@@ -60,7 +61,6 @@ __all__ = [
     "DeduplicationResult",
     "DeltaEncodingResult",
     "CompressionResult",
-    "BenchmarkSuite",
     "SuiteResult",
     "SweepResult",
     "sweep_from_results",

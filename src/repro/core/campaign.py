@@ -14,14 +14,14 @@ fine-grained:
 * :func:`run_cell` — executes one cell and times it (a module-level function
   so cells can be shipped to ``concurrent.futures`` worker processes);
 * :class:`CampaignRunner` — plans the cell grid, fans it out over a process
-  pool (``jobs`` workers) and merges the per-cell payloads back into the
-  exact :class:`~repro.core.runner.SuiteResult` the sequential runner used
-  to produce, so ``summary_text()`` and every table/figure renderer are
-  untouched.  Given a :class:`~repro.core.store.ResultStore`, the runner
-  consults the store before dispatching: already-computed cells are loaded,
-  fresh cells are persisted as they complete, and an interrupted or
-  extended campaign resumes incrementally — cached and freshly-computed
-  cells merge into a bit-identical suite.
+  pool (``jobs`` workers) and merges the per-cell payloads into a
+  :class:`SuiteResult` — one container per stage, in plan order, which
+  ``summary_text()`` renders as the paper's tables and figures.  Given
+  a :class:`~repro.core.store.ResultStore`, the runner consults the store
+  before dispatching: already-computed cells are loaded, fresh cells are
+  persisted as they complete, and an interrupted or extended campaign
+  resumes incrementally — cached and freshly-computed cells merge into a
+  bit-identical suite.
 
 A campaign plan is really ``grid × seeds``: :class:`CampaignRunner`
 accepts a *seed list*, plans the same (stage, service, unit) grid once per
@@ -58,6 +58,7 @@ from repro.core.experiments.delta import DELTA_CASES, DeltaEncodingExperiment, D
 from repro.core.experiments.idle import IdleExperiment, IdleResult
 from repro.core.experiments.performance import PerformanceExperiment, PerformanceResult
 from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult
+from repro.core.report import render_grouped_bars, render_table
 from repro.core.store import ResultStore
 from repro.core.workloads import PAPER_WORKLOADS, workload_by_name
 from repro.errors import ConfigurationError, UnknownServiceError
@@ -87,6 +88,7 @@ __all__ = [
     "CampaignCell",
     "CellFailure",
     "CellResult",
+    "SuiteResult",
     "CampaignResult",
     "CampaignRunner",
     "run_cell",
@@ -246,7 +248,7 @@ def _load_units(config: CampaignConfig) -> Sequence[str]:
 class _StageSpec:
     """Everything the engine needs to know about one campaign stage.
 
-    ``name`` doubles as the :class:`~repro.core.runner.SuiteResult`
+    ``name`` doubles as the :class:`SuiteResult`
     attribute holding the stage's merged container.  ``units`` is the
     stage's planner: the sub-unit labels one service splits into (most
     stages have a single whole-service unit).  Adding a stage means adding
@@ -524,6 +526,63 @@ def init_worker_services(payload: Sequence[dict]) -> None:
 
 
 @dataclass
+class SuiteResult:
+    """Everything a full benchmarking campaign produces, one container per stage."""
+
+    capabilities: Optional[CapabilityMatrix] = None
+    idle: Optional[IdleResult] = None
+    datacenters: Optional[DataCenterResult] = None
+    syn_series: Optional[SynSeriesResult] = None
+    delta: Optional[DeltaResult] = None
+    compression: Optional[CompressionExperimentResult] = None
+    performance: Optional[PerformanceResult] = None
+    load: Optional[LoadStageResult] = None
+
+    def summary_text(self) -> str:
+        """Human-readable digest of every collected artifact."""
+        sections: List[str] = []
+        if self.capabilities is not None:
+            sections.append(render_table(self.capabilities.rows(), title="Table 1 — capabilities"))
+        if self.idle is not None:
+            sections.append(render_table(self.idle.rows(), title="Fig. 1 — idle/background traffic"))
+        if self.datacenters is not None:
+            sections.append(render_table(self.datacenters.rows(), title="Fig. 2 / §3.2 — data centers"))
+        if self.syn_series is not None:
+            sections.append(render_table(self.syn_series.rows(), title="Fig. 3 — TCP connections for 100x10kB"))
+        if self.delta is not None:
+            sections.append(render_table(self.delta.rows(), title="Fig. 4 — delta encoding"))
+        if self.compression is not None:
+            sections.append(render_table(self.compression.rows(), title="Fig. 5 — compression"))
+        if self.performance is not None:
+            workload_order = [workload.name for workload in PAPER_WORKLOADS]
+            sections.append(
+                render_grouped_bars(
+                    self.performance.figure_series("startup"), group_order=workload_order, title="Fig. 6a — start-up time (s)"
+                )
+            )
+            sections.append(
+                render_grouped_bars(
+                    self.performance.figure_series("completion"),
+                    group_order=workload_order,
+                    title="Fig. 6b — completion time (s)",
+                )
+            )
+            sections.append(
+                render_grouped_bars(
+                    self.performance.figure_series("overhead"),
+                    group_order=workload_order,
+                    value_format="{:.3f}",
+                    title="Fig. 6c — protocol overhead (fraction)",
+                )
+            )
+        if self.load is not None:
+            sections.append(
+                render_table(self.load.rows(), title="Load — open population, tail latency and fairness")
+            )
+        return "\n\n".join(sections)
+
+
+@dataclass
 class CampaignResult:
     """Everything one campaign run produces: merged suite + per-cell accounting.
 
@@ -531,7 +590,7 @@ class CampaignResult:
     the harness section) when the run was traced, else ``None``.
     """
 
-    suite: "SuiteResult"
+    suite: SuiteResult
     cells: List[CellResult]
     seed: int
     jobs: int
@@ -791,16 +850,14 @@ class CampaignRunner:
         return campaign_trace_document(records, harness=harness_record(self.tracer))
 
 
-def merge_cell_results(results: Sequence[CellResult]) -> "SuiteResult":
-    """Fold per-cell payloads back into the sequential-era ``SuiteResult``.
+def merge_cell_results(results: Sequence[CellResult]) -> SuiteResult:
+    """Fold per-cell payloads into a :class:`SuiteResult`, one container per stage.
 
     ``results`` must be in plan order (stage-major, services in campaign
     order, units in stage order); the merged per-stage containers then list
     services and rows exactly as the old sequential loops did — regardless
     of whether each payload was computed this run or loaded from the store.
     """
-    from repro.core.runner import SuiteResult  # local import: runner builds on this module
-
     suite = SuiteResult()
     for result in results:
         if result.failure is not None:
@@ -842,7 +899,7 @@ def results_document(results: Sequence[CellResult], *, seed: int) -> dict:
     }
 
 
-def suite_stage_rows(suite: "SuiteResult") -> Dict[str, List[dict]]:
+def suite_stage_rows(suite: SuiteResult) -> Dict[str, List[dict]]:
     """Flat report rows for every completed stage, keyed by stage name."""
     rows: Dict[str, List[dict]] = {}
     for stage in STAGES:

@@ -37,12 +37,12 @@ import os
 import pickle
 import re
 import tempfile
-import time
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro import wallclock
 from repro.errors import ConfigurationError
-from repro.obs.export import to_canonical_json
 from repro.obs.tracer import current_tracer
+from repro.specio import canonical_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.core.campaign import CampaignCell, CellResult
@@ -326,7 +326,7 @@ class ResultStore:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(to_canonical_json(record))
+                handle.write(canonical_text(record))
             os.replace(tmp_path, trace_path)
         finally:
             if os.path.exists(tmp_path):
@@ -407,7 +407,7 @@ class ResultStore:
         wipe_all = stage is None and service is None and older_than is None and not schema_foreign
         paths = list(self.entries())
         if older_than is not None:
-            cutoff = time.time() - older_than
+            cutoff = wallclock.now() - older_than
             aged = []
             for path in paths:
                 try:
@@ -444,7 +444,7 @@ class ResultStore:
         for sidecar in list(self.orphan_sidecars()):
             if older_than is not None:
                 try:
-                    if os.stat(sidecar).st_mtime > time.time() - older_than:
+                    if os.stat(sidecar).st_mtime > wallclock.now() - older_than:
                         continue
                 except OSError:  # pragma: no cover - racing deleters are fine
                     continue

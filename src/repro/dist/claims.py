@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro import wallclock
 from repro.core.campaign import CampaignCell
 from repro.core.store import ResultStore, cache_key
 from repro.obs.tracer import current_tracer
@@ -57,7 +57,7 @@ class Lease:
 
     def age(self, now: Optional[float] = None) -> float:
         """Seconds since the last heartbeat."""
-        return (now if now is not None else time.time()) - self.mtime
+        return (now if now is not None else wallclock.now()) - self.mtime
 
 
 class ClaimBoard:
@@ -90,7 +90,7 @@ class ClaimBoard:
             "runner": self.runner_id,
             "pid": os.getpid(),
             "cell": cache_key(cell),
-            "acquired_at": time.time(),
+            "acquired_at": wallclock.now(),
         }
         return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
@@ -122,7 +122,7 @@ class ClaimBoard:
             # the record write are two steps).  Only treat it as abandoned
             # once it is old enough that no live writer can be behind it.
             try:
-                age = time.time() - os.stat(path).st_mtime
+                age = wallclock.now() - os.stat(path).st_mtime
             except OSError:
                 return False  # vanished (released); next pass can claim fresh
             if age < self.lease_timeout:

@@ -4,8 +4,8 @@
 not "which service is fastest for one client" but "which service
 survives a population".  An open arrival process
 (:mod:`~repro.load.arrivals`) feeds sessions through a FIFO service
-edge (:mod:`~repro.load.edge`) onto a shared link divided by tick-based
-max-min fair sharing (:mod:`~repro.load.contention`); the fluid engine
+edge (:mod:`~repro.load.edge`) onto a shared link (:mod:`~repro.load.contention`)
+whose capacity is split in fair shares on a tick lattice; the fluid engine
 (:mod:`~repro.load.population`) turns 10^4–10^6 such sessions into
 per-session completion times, queue waits and goodput in seconds, and
 :mod:`~repro.load.metrics` reduces them to deterministic tail quantiles
@@ -18,7 +18,7 @@ merge byte-identically like the rest of the suite.
 """
 
 from repro.load.arrivals import ARRIVAL_KINDS, arrival_times, diurnal_times, poisson_times
-from repro.load.contention import DEFAULT_TICK, SharedLink, group_allocation, max_min_allocation
+from repro.load.contention import DEFAULT_TICK, SharedLink
 from repro.load.edge import ServiceEdge
 from repro.load.metrics import TailSummary, jain_index
 from repro.load.population import (
@@ -48,10 +48,8 @@ __all__ = [
     "TailSummary",
     "arrival_times",
     "diurnal_times",
-    "group_allocation",
     "jain_index",
     "lane_for",
-    "max_min_allocation",
     "poisson_times",
     "reduce_load",
     "run_load_cell",

@@ -1,25 +1,17 @@
-"""Shared-link bandwidth contention: tick-based max-min fair sharing.
+"""Shared-link bandwidth contention: the link and its allocation tick.
 
 When an open population of client sessions uploads through one shared
 link (a campus uplink, a service ingress), each session is limited both
 by its own access rate and by its fair share of the common capacity.
-This module models that contention as the classic *max-min* ("water
-filling") allocation, evaluated on a fixed tick lattice:
+All sessions of a load cell ride the same scenario-warped access path,
+so the max-min ("water filling") share reduces to
+``min(cap, capacity / active)`` — the population engine
+(:mod:`repro.load.population`) computes it inline.
 
-* :func:`max_min_allocation` — one allocation round over per-session rate
-  caps.  Sessions whose cap is below the fair share keep their cap; the
-  capacity they leave unused is redistributed over the rest.  The result
-  conserves bandwidth (the allocations sum to at most the capacity) and
-  is *permutation-equivariant*: reordering the sessions permutes the
-  allocations identically, bit for bit — the property tests pin both.
-* :func:`group_allocation` — the same water filling over groups of
-  sessions sharing one cap (the engine's form: a load cell's sessions
-  all ride the same scenario-warped access path, so one group describes
-  the whole active set and a round costs O(groups), not O(sessions)).
-* :class:`SharedLink` — capacity plus the tick: rates change only at
-  tick boundaries, so a fluid engine may jump from one boundary where
-  the active set changed to the next without evaluating the identical
-  allocation at every tick in between (see :mod:`repro.load.population`).
+:class:`SharedLink` holds the capacity and the tick lattice: rates change
+only at tick boundaries, so the engine may jump from one boundary where
+the active set changed to the next without evaluating the identical
+allocation at every tick in between.
 
 Everything here is a pure function of its arguments — no clocks, no
 global randomness — which is what lets load cells cache, shard and merge
@@ -30,9 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
-__all__ = ["DEFAULT_TICK", "max_min_allocation", "group_allocation", "SharedLink"]
+__all__ = ["DEFAULT_TICK", "SharedLink"]
 
 #: Width of one allocation tick in simulated seconds.  A constant, not a
 #: campaign knob: it is a discretization parameter of the contention
@@ -44,68 +35,6 @@ DEFAULT_TICK = 0.01
 #: the accumulated service: absorbs float accumulation error without ever
 #: depending on platform or ordering (the comparison inputs are pure).
 TAG_EPSILON = 1e-9
-
-
-def max_min_allocation(caps: Sequence[float], capacity: float) -> List[float]:
-    """Max-min fair allocation of ``capacity`` over per-session rate caps.
-
-    Water filling: sessions are considered in ascending cap order; each
-    takes ``min(cap, remaining / sessions_left)``, so a session capped
-    below the fair share frees its unused share for everyone after it.
-    Returns one rate per input position.
-
-    Two invariants the property tests pin:
-
-    * conservation — ``sum(rates) <= capacity`` (up to float ulps);
-    * permutation equivariance — permuting ``caps`` permutes the result
-      identically, bit for bit.  Ties process in input order, but equal
-      caps always receive bit-equal rates, so the order of ties cannot
-      leak into the allocation.
-    """
-    count = len(caps)
-    if count == 0:
-        return []
-    if capacity <= 0.0:
-        return [0.0] * count
-    rates = [0.0] * count
-    order = sorted(range(count), key=lambda index: (caps[index], index))
-    remaining = capacity
-    for position, index in enumerate(order):
-        share = remaining / (count - position)
-        rate = caps[index] if caps[index] < share else share
-        if rate < 0.0:
-            rate = 0.0
-        rates[index] = rate
-        remaining -= rate
-    return rates
-
-
-def group_allocation(groups: Sequence[Tuple[float, int]], capacity: float) -> List[float]:
-    """Per-session max-min rate for groups of ``(cap, session_count)``.
-
-    Identical water filling to :func:`max_min_allocation` with every
-    group standing in for ``session_count`` sessions of equal cap — the
-    O(groups) form the population engine uses, since all sessions of one
-    load cell share one access path.  Returns one *per-session* rate per
-    group (every member of a group receives the same rate).
-    """
-    total = sum(count for _, count in groups)
-    rates = [0.0] * len(groups)
-    if total == 0 or capacity <= 0.0:
-        return rates
-    order = sorted(range(len(groups)), key=lambda index: (groups[index][0], index))
-    remaining = capacity
-    left = total
-    for index in order:
-        cap, count = groups[index]
-        share = remaining / left
-        rate = cap if cap < share else share
-        if rate < 0.0:
-            rate = 0.0
-        rates[index] = rate
-        remaining -= rate * count
-        left -= count
-    return rates
 
 
 @dataclass(frozen=True)
@@ -121,20 +50,6 @@ class SharedLink:
 
     capacity_bps: float
     tick_s: float = DEFAULT_TICK
-
-    def allocate(self, caps: Sequence[float]) -> List[float]:
-        """One allocation round over per-session caps (bits per second)."""
-        return max_min_allocation(caps, self.capacity_bps)
-
-    def allocate_groups(self, groups: Sequence[Tuple[float, int]]) -> List[float]:
-        """One allocation round over ``(cap, count)`` groups."""
-        return group_allocation(groups, self.capacity_bps)
-
-    def per_session_rate(self, cap_bps: float, active: int) -> float:
-        """The rate each of ``active`` equal-cap sessions receives (bps)."""
-        if active <= 0:
-            return 0.0
-        return group_allocation(((cap_bps, active),), self.capacity_bps)[0]
 
     def quantize_up(self, instant: float) -> float:
         """The first tick boundary at or after ``instant``.

@@ -212,7 +212,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
         active = len(heap)
         if active:
             # Single equal-cap group: the max-min share reduces to
-            # min(cap, capacity / active), bit-equal to group_allocation.
+            # min(cap, capacity / active).
             share = capacity / active
             byte_rate = (cap if cap < share else share) / 8.0
         else:

@@ -25,7 +25,7 @@ from repro.obs.recorder import (
     harness_record,
     strip_wall,
 )
-from repro.obs.export import chrome_trace, to_canonical_json, write_trace
+from repro.obs.export import chrome_trace, write_trace
 from repro.obs.logconfig import configure_logging
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -56,7 +56,6 @@ __all__ = [
     "campaign_trace_document",
     "strip_wall",
     "chrome_trace",
-    "to_canonical_json",
     "write_trace",
     "configure_logging",
 ]

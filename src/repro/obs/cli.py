@@ -21,13 +21,14 @@ from typing import Callable, Dict, List, Optional
 from repro.core.campaign import STAGES
 from repro.core.report import render_table
 from repro.errors import ConfigurationError
-from repro.obs.export import chrome_trace, to_canonical_json
+from repro.obs.export import chrome_trace
 from repro.obs.recorder import (
     FLIGHT_RECORD_KIND,
     TRACE_KIND,
     campaign_trace_document,
     strip_wall,
 )
+from repro.specio import canonical_text
 
 __all__ = ["TRACE_SIDECAR_SUFFIX", "sidecar_paths", "load_trace_file", "execute_ls", "execute_show", "execute_export"]
 
@@ -184,10 +185,7 @@ def execute_export(
         return 2
     if sim_only:
         document = strip_wall(document)
-    if fmt == "chrome":
-        text = json.dumps(chrome_trace(document), indent=2, sort_keys=True) + "\n"
-    else:
-        text = to_canonical_json(document)
+    text = canonical_text(chrome_trace(document) if fmt == "chrome" else document)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -1,35 +1,31 @@
 """Trace exporters: canonical JSON and Chrome trace-event (Perfetto).
 
-Canonical JSON is the diffable form — ``sort_keys=True`` like the
-benchmark document, because a trace is a key-value report with no
-golden-pinned field order.  The Chrome trace-event form targets
-``https://ui.perfetto.dev`` / ``chrome://tracing``: each cell becomes a
-process (pid = plan index + 1), each simulator track a thread, with the
-wall domain on thread 0; the optional harness section becomes pid 0.
+Canonical JSON (:func:`repro.specio.canonical_text`) is the diffable
+form — sorted keys like the benchmark document, because a trace is a
+key-value report with no golden-pinned field order.  The Chrome
+trace-event form targets ``https://ui.perfetto.dev`` /
+``chrome://tracing``: each cell becomes a process (pid = plan index +
+1), each simulator track a thread, with the wall domain on thread 0; the
+optional harness section becomes pid 0.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
 from repro.obs.recorder import FLIGHT_RECORD_KIND, TRACE_KIND
+from repro.specio import canonical_text
 
-__all__ = ["to_canonical_json", "chrome_trace", "write_trace"]
+__all__ = ["chrome_trace", "write_trace"]
 
 #: Chrome trace-event timestamps are microseconds.
 _MICROS = 1_000_000.0
 
 
-def to_canonical_json(document: Dict[str, object]) -> str:
-    """Serialize a trace document to its canonical JSON bytes."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def write_trace(path: str, document: Dict[str, object]) -> str:
     """Write a trace document as canonical JSON; returns the path."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_canonical_json(document))
+        handle.write(canonical_text(document))
     return path
 
 

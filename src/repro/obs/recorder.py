@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.wallclock import wall_context
+from repro.wallclock import utc_timestamp
 
 __all__ = [
     "FLIGHT_RECORD_KIND",
@@ -44,7 +44,7 @@ def cell_flight_record(tracer, cell, *, failure: Optional[Dict[str, object]] = N
     avoid an import cycle: obs must stay importable from every layer).
     """
     wall: Dict[str, object] = {
-        "context": wall_context(),
+        "context": {"timestamp_utc": utc_timestamp()},
         "spans": [span.to_dict() for span in tracer.wall_spans],
     }
     if failure is not None:
@@ -71,7 +71,7 @@ def cell_flight_record(tracer, cell, *, failure: Optional[Dict[str, object]] = N
 def harness_record(tracer) -> Dict[str, object]:
     """Serialize a parent-process tracer (all run-specific, always stripped)."""
     return {
-        "context": wall_context(),
+        "context": {"timestamp_utc": utc_timestamp()},
         "spans": [span.to_dict() for span in tracer.wall_spans],
         "metrics": tracer.metrics.snapshot() if tracer.metrics is not None else {},
     }

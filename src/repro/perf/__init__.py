@@ -18,7 +18,6 @@ from repro.perf.document import (
     build_document,
     load_document,
     strip_measurements,
-    to_json_text,
     write_document,
 )
 from repro.perf.environment import capture_environment
@@ -36,6 +35,5 @@ __all__ = [
     "quick_benchmarks",
     "run_benchmarks",
     "strip_measurements",
-    "to_json_text",
     "write_document",
 ]

@@ -10,10 +10,11 @@ Layout contract:
   samples, repeats}``.  Everything except ``value``/``samples`` is a
   pure function of the suite parameters.
 
-Serialization is ``sort_keys=True``: unlike the results documents (whose
-insertion order is pinned by golden fixtures), the benchmark document is
-a key-value report with no meaningful field order, so sorted keys make
-two documents diffable regardless of assembly order.
+Serialization is :func:`repro.specio.canonical_text` (sorted keys):
+unlike the results documents (whose insertion order is pinned by golden
+fixtures), the benchmark document is a key-value report with no
+meaningful field order, so sorted keys make two documents diffable
+regardless of assembly order.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError
 from repro.perf.benchmarks import BenchmarkResult
+from repro.specio import canonical_text
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "build_document",
     "load_document",
     "strip_measurements",
-    "to_json_text",
     "write_document",
 ]
 
@@ -58,15 +59,10 @@ def build_document(results: Iterable[BenchmarkResult], *, environment: Dict[str,
     }
 
 
-def to_json_text(document: Dict[str, object]) -> str:
-    """Serialize a benchmark document to its canonical JSON bytes."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def write_document(path: str, document: Dict[str, object]) -> str:
     """Write a benchmark document as canonical JSON; returns the path."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json_text(document))
+        handle.write(canonical_text(document))
     return path
 
 

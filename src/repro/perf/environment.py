@@ -1,10 +1,9 @@
 """Execution-environment capture for benchmark documents.
 
-This module is the perf harness's sanctioned home for the wall clock
-(DET003 allowlist): benchmark *numbers* are measurement, not simulation,
-so the run timestamp belongs in the document's environment block — which
-:func:`repro.perf.document.strip_measurements` removes before any
-byte-level determinism comparison.
+Benchmark *numbers* are measurement, not simulation, so the run
+timestamp (from :mod:`repro.wallclock`) belongs in the document's
+environment block — which :func:`repro.perf.document.strip_measurements`
+removes before any byte-level determinism comparison.
 """
 
 from __future__ import annotations
@@ -12,8 +11,9 @@ from __future__ import annotations
 import os
 import platform
 import sys
-from datetime import datetime, timezone
 from typing import Dict
+
+from repro.wallclock import utc_timestamp
 
 __all__ = ["capture_environment"]
 
@@ -25,7 +25,7 @@ def capture_environment() -> Dict[str, object]:
     document; none of it participates in regression comparison.
     """
     return {
-        "timestamp_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "timestamp_utc": utc_timestamp(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

@@ -22,11 +22,6 @@ from repro.services.profile import (
 )
 from repro.services.backend import StorageBackend, StoredFile
 from repro.services.base import CloudStorageClient, SyncSummary, PreparedFile, ChunkUpload
-from repro.services.dropbox import DropboxClient, dropbox_profile
-from repro.services.skydrive import SkyDriveClient, skydrive_profile
-from repro.services.wuala import WualaClient, wuala_profile
-from repro.services.googledrive import GoogleDriveClient, googledrive_profile
-from repro.services.clouddrive import CloudDriveClient, clouddrive_profile
 from repro.services.registry import (
     SERVICE_NAMES,
     create_client,
@@ -57,16 +52,6 @@ __all__ = [
     "SyncSummary",
     "PreparedFile",
     "ChunkUpload",
-    "DropboxClient",
-    "SkyDriveClient",
-    "WualaClient",
-    "GoogleDriveClient",
-    "CloudDriveClient",
-    "dropbox_profile",
-    "skydrive_profile",
-    "wuala_profile",
-    "googledrive_profile",
-    "clouddrive_profile",
     "SERVICE_NAMES",
     "create_client",
     "get_profile",

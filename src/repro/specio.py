@@ -13,9 +13,13 @@ dicts/lists of plain values:
   strings, integers, floats, booleans or inline arrays.  The fallback
   exists because the benchmark must stay dependency-free on Python 3.9.
 
-Canonical serialization (stable key order, minimal separators) also lives
-here: every spec fingerprint hashes the same bytes no matter which format —
-or which Python version — the spec was loaded from.
+Canonical serialization (stable key order) also lives here, in two
+spellings: :func:`canonical_json` (minimal separators) is what every spec
+fingerprint hashes, the same bytes no matter which format — or which
+Python version — the spec was loaded from; :func:`canonical_text`
+(indented, newline-terminated) is how the diffable key-value reports —
+trace documents, store sidecars, benchmark documents, lint reports — are
+written.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ try:  # Python >= 3.11
 except ImportError:  # pragma: no cover - exercised on 3.9/3.10 CI
     _toml = None
 
-__all__ = ["load_document", "loads_toml", "canonical_json"]
+__all__ = ["load_document", "loads_toml", "canonical_json", "canonical_text"]
 
 
 def canonical_json(document: Any) -> str:
@@ -42,6 +46,15 @@ def canonical_json(document: Any) -> str:
     with equal content always serialize — and therefore hash — identically.
     """
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_text(document: Any) -> str:
+    """Pretty canonical serialization: sorted keys, two-space indent, final newline.
+
+    For documents that are key-value reports with no pinned field order,
+    so two documents diff cleanly regardless of assembly order.
+    """
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def load_document(path: str) -> Dict[str, Any]:

@@ -141,13 +141,24 @@ class TestWallClock:
     def test_monotonic_timing_is_clean(self, snippet):
         assert lint_source(snippet) == []
 
+    def test_wallclock_home_is_allowlisted(self):
+        code = "import time\nage = time.time() - mtime\n"
+        assert lint_source(code, path="src/repro/wallclock.py") == []
+
     @pytest.mark.parametrize(
         "path",
-        ["src/repro/dist/claims.py", "src/repro/core/store.py", "src/repro/perf/environment.py"],
+        [
+            "src/repro/dist/claims.py",
+            "src/repro/core/store.py",
+            "src/repro/perf/environment.py",
+            "src/repro/obs/wallclock.py",
+        ],
     )
-    def test_lease_and_ttl_homes_are_allowlisted(self, path):
+    def test_former_homes_now_flag(self, path):
+        # Lease ages, store TTLs and both timestamps read the clock through
+        # repro.wallclock; a direct call in a former home is a finding.
         code = "import time\nage = time.time() - mtime\n"
-        assert lint_source(code, path=path) == []
+        assert rule_ids(lint_source(code, path=path)) == ["DET003"]
 
 
 class TestImplicitJsonKeyOrder:

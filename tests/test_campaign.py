@@ -17,7 +17,6 @@ from repro.core.campaign import (
     run_cell,
     suite_stage_rows,
 )
-from repro.core.runner import BenchmarkSuite
 from repro.core.workloads import PAPER_WORKLOADS
 from repro.errors import ConfigurationError
 from repro.services.registry import SERVICE_NAMES
@@ -212,15 +211,13 @@ class TestCampaignExecution:
 
 class TestSuiteIntegration:
     def test_benchmark_suite_runs_through_engine(self):
-        suite = BenchmarkSuite(SERVICES, repetitions=1, idle_duration=60.0, resolver_count=50)
-        campaign = suite.run_campaign(stages=["idle"], jobs=1)
+        campaign = CampaignRunner(SERVICES, ["idle"], jobs=1, config=CONFIG).run()
         assert campaign.suite.idle is not None
         assert [cell.cell.stage for cell in campaign.cells] == ["idle", "idle"]
 
     def test_suite_run_rejects_stage_typo(self):
-        suite = BenchmarkSuite(SERVICES, repetitions=1, idle_duration=60.0, resolver_count=50)
         with pytest.raises(ConfigurationError, match="valid stages"):
-            suite.run(stages=["preformance"])
+            CampaignRunner(SERVICES, ["preformance"], config=CONFIG)
 
     def test_all_stage_names_runnable(self):
         # Every advertised stage has a registered runner and unit planner.

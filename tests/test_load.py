@@ -1,8 +1,8 @@
 """Tests for the open-workload population engine (``repro.load``).
 
-Covers the allocator's conservation/order-invariance properties
-(hypothesis), shuffle-bit-identity of the tail reductions, engine sanity
-against closed-form expectations, the campaign ``load`` stage (plan
+Covers the shared link's tick lattice, shuffle-bit-identity of the tail
+reductions (hypothesis), engine sanity against closed-form expectations
+(including the fair share draining the link at capacity), the campaign ``load`` stage (plan
 order, caching, sweep aggregation) and end-to-end byte-identity of the
 CLI documents across jobs and a 2-worker shard+merge.
 """
@@ -28,9 +28,7 @@ from repro.load import (
     TailSummary,
     arrival_times,
     diurnal_times,
-    group_allocation,
     jain_index,
-    max_min_allocation,
     poisson_times,
     run_load_cell,
     simulate_population,
@@ -46,73 +44,8 @@ from repro.units import (
     unit_sort_key,
 )
 
-caps_lists = st.lists(
-    st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
-    min_size=0,
-    max_size=40,
-)
-capacities = st.floats(min_value=1.0, max_value=1e10, allow_nan=False, allow_infinity=False)
-
 
 class TestAllocatorProperties:
-    @given(caps=caps_lists, capacity=capacities)
-    @settings(max_examples=120, deadline=None)
-    def test_conserves_bandwidth_and_respects_caps(self, caps, capacity):
-        rates = max_min_allocation(caps, capacity)
-        assert len(rates) == len(caps)
-        # Conservation: allocations never exceed the capacity (beyond
-        # float accumulation noise) and each session stays under its cap.
-        assert sum(rates) <= capacity * (1.0 + 1e-9) + 1e-9
-        for rate, cap in zip(rates, caps):
-            assert 0.0 <= rate <= cap * (1.0 + 1e-12) + 1e-12
-
-    @given(caps=caps_lists, capacity=capacities, seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=120, deadline=None)
-    def test_order_invariant_bit_exact(self, caps, capacity, seed):
-        rates = max_min_allocation(caps, capacity)
-        order = list(range(len(caps)))
-        random.Random(seed).shuffle(order)
-        shuffled_rates = max_min_allocation([caps[i] for i in order], capacity)
-        # The multiset of allocations is independent of session order —
-        # bit for bit, so arrival order can never leak into the results.
-        assert sorted(shuffled_rates) == sorted(rates)
-        if len(set(caps)) == len(caps):
-            # With distinct caps the mapping itself is equivariant too.
-            assert [shuffled_rates[order.index(i)] for i in range(len(caps))] == rates
-
-    @given(caps=caps_lists, capacity=capacities)
-    @settings(max_examples=80, deadline=None)
-    def test_work_conserving_when_demand_exceeds_capacity(self, caps, capacity):
-        rates = max_min_allocation(caps, capacity)
-        if sum(caps) >= capacity and caps:
-            assert sum(rates) == pytest.approx(capacity, rel=1e-9)
-        else:
-            for rate, cap in zip(rates, caps):
-                assert rate == pytest.approx(cap, rel=1e-12, abs=1e-12)
-
-    @given(
-        cap=st.floats(min_value=0.1, max_value=1e8, allow_nan=False),
-        count=st.integers(min_value=1, max_value=1000),
-        capacity=capacities,
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_group_form_matches_flat_allocation(self, cap, count, capacity):
-        per_session = group_allocation(((cap, count),), capacity)[0]
-        flat = max_min_allocation([cap] * count, capacity)
-        # The grouped form hands every member the first member's share in
-        # one step; the flat form recomputes shares from a decremented
-        # remainder, so later members can drift by an ulp — the grouped
-        # rate is pinned to the flat head and the totals agree.
-        assert per_session == flat[0]
-        assert sum(flat) == pytest.approx(per_session * count, rel=1e-9)
-
-    def test_single_group_is_min_of_cap_and_fair_share(self):
-        # The engine inlines this identity; pin it against the allocator.
-        link = SharedLink(capacity_bps=mbps(400.0))
-        for active in (1, 3, 64, 1000):
-            expected = min(mbps(10.0), mbps(400.0) / active)
-            assert link.per_session_rate(mbps(10.0), active) == expected
-
     def test_quantize_up_lands_on_tick_lattice(self):
         link = SharedLink(capacity_bps=1.0, tick_s=0.01)
         assert link.quantize_up(0.0) == 0.0
@@ -205,6 +138,26 @@ class TestServiceEdge:
 
 class TestPopulationEngine:
     LANE = AccessLane(cap_bps=mbps(10.0), rtt=0.030, server_processing=0.015)
+
+    def test_fair_share_binding_drains_at_link_capacity(self):
+        # Access cap 100 Mb/s on a 10 Mb/s link: capacity / active is below
+        # the cap at every active count, so the engine's inline share
+        # min(cap, capacity / active) is always the fair share and the
+        # fluid phase must drain the link at exactly its capacity.
+        lane = AccessLane(cap_bps=mbps(100.0), rtt=0.0, server_processing=0.0)
+        params = LoadParameters(population=50, window_s=0.001, link_capacity_bps=mbps(10.0))
+        result = simulate_population(params, lane, make_rng(7, "fair-share"))
+        assert result.peak_active == 50 and result.peak_queue == 0
+        # Every arrival lands on the first tick boundary; with no fixed
+        # latency, the makespan is where the last fluid phase ends.
+        start = params.tick_s
+        drain = result.total_bytes * 8.0 / mbps(10.0)
+        elapsed = result.makespan_s - start
+        assert elapsed >= drain * (1.0 - 1e-9)
+        # A completion frees its share only at the next boundary: each of
+        # the 50 completions idles at most one tick of a 1/active share.
+        slack = params.tick_s * sum(1.0 / active for active in range(1, 51))
+        assert elapsed <= drain + slack
 
     def test_uncontended_session_matches_closed_form(self):
         # One session on an idle 400 Mb/s link: the fluid phase is pure

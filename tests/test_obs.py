@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 
 import pytest
 
@@ -28,11 +29,12 @@ from repro.core.campaign import (
 )
 from repro.core.store import ResultStore
 from repro.dist import ClaimBoard, ShardSpec, ShardWorker, CampaignMerger
-from repro.obs.export import chrome_trace, to_canonical_json
+from repro.obs.export import chrome_trace
 from repro.obs.logconfig import configure_logging
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FLIGHT_RECORD_KIND, TRACE_KIND, strip_wall
 from repro.obs.tracer import NULL_TRACER, Tracer, activate, current_tracer
+from repro.specio import canonical_text
 
 SERVICES = ["dropbox", "googledrive"]
 CONFIG = CampaignConfig(repetitions=1, idle_duration=60.0, resolver_count=50)
@@ -46,7 +48,7 @@ def make_runner(*, jobs=1, stages=("idle", "syn_series"), store=None, trace=True
 
 def sim_bytes(trace_doc):
     """The byte-comparable deterministic form of a campaign trace."""
-    return to_canonical_json(strip_wall(trace_doc))
+    return canonical_text(strip_wall(trace_doc))
 
 
 class TestMetricsRegistry:
@@ -118,6 +120,11 @@ class TestFlightRecords:
         assert record["metrics"]["counters"]["netsim.packets"] > 0
         assert any(span["name"] == "cell.run" for span in record["wall"]["spans"])
 
+    def test_wall_context_carries_utc_timestamp(self):
+        cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
+        context = run_cell(cell, True).trace["wall"]["context"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", context["timestamp_utc"])
+
     def test_strip_wall_drops_only_run_specific_parts(self):
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
         record = run_cell(cell, True).trace
@@ -137,7 +144,7 @@ class TestFlightRecords:
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
         first = run_cell(cell, True).trace
         second = run_cell(cell, True).trace
-        assert to_canonical_json(strip_wall(first)) == to_canonical_json(strip_wall(second))
+        assert canonical_text(strip_wall(first)) == canonical_text(strip_wall(second))
 
 
 class TestByteIdentity:
@@ -217,7 +224,7 @@ class TestStoreSidecars:
 
 
 def sim_bytes_record(record):
-    return to_canonical_json(strip_wall(record))
+    return canonical_text(strip_wall(record))
 
 
 class TestFailureContext:

@@ -16,10 +16,10 @@ from repro.perf import (
     load_document,
     run_benchmarks,
     strip_measurements,
-    to_json_text,
     write_document,
 )
 from repro.perf.benchmarks import BenchmarkResult
+from repro.specio import canonical_text
 
 # Micro-only, single repeat: the smallest honest run of the real suite.
 TINY = dict(quick=True, repeats=1, include_campaign=False)
@@ -66,11 +66,11 @@ class TestBenchmarkDocument:
         first = build_document(run_benchmarks(**TINY), environment=capture_environment())
         second = build_document(run_benchmarks(**TINY), environment=capture_environment())
         # Timings and environment may differ; everything else must not.
-        assert to_json_text(strip_measurements(first)) == to_json_text(strip_measurements(second))
+        assert canonical_text(strip_measurements(first)) == canonical_text(strip_measurements(second))
 
     def test_serialization_sorts_keys(self):
         document = _doc({"b_metric": _metric("b", 1.0), "a_metric": _metric("a", 2.0)})
-        text = to_json_text(document)
+        text = canonical_text(document)
         assert text.index('"a_metric"') < text.index('"b_metric"')
         assert text.index('"environment"') < text.index('"metrics"')
         assert text.endswith("\n")

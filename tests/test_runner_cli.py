@@ -1,4 +1,4 @@
-"""Tests for the benchmark suite runner and the command line interface."""
+"""Tests for the campaign suite result and the command line interface."""
 
 from __future__ import annotations
 
@@ -7,48 +7,50 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.runner import BenchmarkSuite, SuiteResult
+from repro.core.campaign import CampaignConfig, CampaignRunner, SuiteResult
 from repro.errors import ConfigurationError
 
+SMALL_CONFIG = CampaignConfig(repetitions=1, idle_duration=120.0, resolver_count=100)
 
-class TestBenchmarkSuite:
-    @pytest.fixture(scope="class")
-    def small_suite(self):
-        return BenchmarkSuite(["dropbox", "googledrive"], repetitions=1, idle_duration=120.0, resolver_count=100)
 
-    def test_selected_stages_only(self, small_suite):
-        result = small_suite.run(stages=["syn_series", "idle"])
+def run_suite(stages, *, jobs=1) -> SuiteResult:
+    """The merged suite of a small two-service campaign over ``stages``."""
+    return CampaignRunner(["dropbox", "googledrive"], stages, jobs=jobs, config=SMALL_CONFIG).run().suite
+
+
+class TestCampaignSuite:
+    def test_selected_stages_only(self):
+        result = run_suite(["syn_series", "idle"])
         assert result.syn_series is not None
         assert result.idle is not None
         assert result.performance is None
         assert result.capabilities is None
 
-    def test_summary_text_mentions_artifacts(self, small_suite):
-        result = small_suite.run(stages=["idle"])
-        text = result.summary_text()
+    def test_summary_text_mentions_artifacts(self):
+        text = run_suite(["idle"]).summary_text()
         assert "Fig. 1" in text
         assert "dropbox" in text
 
     def test_empty_result_summary(self):
         assert SuiteResult().summary_text() == ""
 
-    def test_performance_stage_produces_figure6_series(self, small_suite):
-        result = small_suite.run(stages=["performance"])
+    def test_performance_stage_produces_figure6_series(self):
+        result = run_suite(["performance"])
         series = result.performance.figure_series("completion")
         assert set(series) == {"dropbox", "googledrive"}
         text = result.summary_text()
         assert "Fig. 6b" in text
 
-    def test_misspelled_stage_raises_instead_of_running_nothing(self, small_suite):
-        # Regression: run(stages=["preformance"]) used to silently run no
-        # stage at all and return an empty SuiteResult.
+    def test_misspelled_stage_raises_instead_of_running_nothing(self):
+        # Regression: stages=["preformance"] used to silently run no stage
+        # at all and return an empty SuiteResult.
         with pytest.raises(ConfigurationError) as excinfo:
-            small_suite.run(stages=["preformance"])
+            run_suite(["preformance"])
         assert "performance" in str(excinfo.value)  # the valid names are listed
 
-    def test_run_accepts_jobs_parameter(self, small_suite):
-        sequential = small_suite.run(stages=["idle"], jobs=1)
-        parallel = small_suite.run(stages=["idle"], jobs=2)
+    def test_run_accepts_jobs_parameter(self):
+        sequential = run_suite(["idle"], jobs=1)
+        parallel = run_suite(["idle"], jobs=2)
         assert sequential.idle.rows() == parallel.idle.rows()
 
 

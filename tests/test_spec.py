@@ -47,7 +47,7 @@ from repro.services.registry import (
     unregister_service,
 )
 from repro.services.spec import ServiceSpec, builtin_spec, builtin_spec_path, load_service_specs
-from repro.specio import canonical_json, loads_toml
+from repro.specio import canonical_json, canonical_text, loads_toml
 from repro.units import parse_rate, parse_size
 
 BUILTIN_NAMES = ("dropbox", "skydrive", "wuala", "clouddrive", "googledrive")
@@ -116,6 +116,16 @@ def synthetic_spec(**overrides) -> ServiceSpec:
     }
     raw.update(overrides)
     return ServiceSpec.from_dict(raw)
+
+
+class TestCanonicalText:
+    def test_pretty_form_sorts_keys_and_ends_with_newline(self):
+        text = canonical_text({"b": 1, "a": {"d": 2, "c": 3}})
+        assert text == '{\n  "a": {\n    "c": 3,\n    "d": 2\n  },\n  "b": 1\n}\n'
+
+    def test_pretty_form_has_the_compact_form_content(self):
+        document = builtin_spec("dropbox").to_dict()
+        assert canonical_json(json.loads(canonical_text(document))) == canonical_json(document)
 
 
 class TestRoundTrip:
