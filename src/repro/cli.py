@@ -428,12 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect flight recorder traces, or export them for Perfetto",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_ls = trace_sub.add_parser("ls", help="list the flight-record sidecars of a result store")
+    trace_ls = trace_sub.add_parser("ls", help="list the flight records held in a result store's cell records")
     trace_ls.add_argument("--store", default=DEFAULT_CACHE_DIR, help=f"store directory (default: {DEFAULT_CACHE_DIR})")
-    trace_show = trace_sub.add_parser("show", help="summarize a trace file, sidecar, or a whole store")
+    trace_show = trace_sub.add_parser("show", help="summarize a trace file, a flight-record file, or a whole store")
     trace_show.add_argument(
         "target",
-        help="a campaign trace file (--trace output), one .trace.json sidecar, or a store directory",
+        help="a campaign trace file (--trace output), one flight-record file, or a store directory",
     )
     trace_export = trace_sub.add_parser(
         "export",
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="trace_store",
         metavar="DIR",
         default=None,
-        help="assemble the trace from a store's flight-record sidecars instead of a file",
+        help="assemble the trace from the flight records in a store's cell records instead of a file",
     )
     trace_export.add_argument(
         "--output",
@@ -606,14 +606,14 @@ def store_listing_rows(store: ResultStore) -> List[dict]:
     """
     rows = [
         {
-            "stage": entry.cell.stage,
-            "service": entry.cell.service,
-            "unit": entry.cell.unit,
-            "seed": entry.cell.seed,
-            "runner": entry.runner if entry.runner is not None else "-",
-            "wall_s": round(entry.result.wall_seconds, 3),
+            "stage": record["cell"]["stage"],
+            "service": record["cell"]["service"],
+            "unit": record["cell"]["unit"],
+            "seed": record["cell"]["seed"],
+            "runner": record["runner"] if record["runner"] is not None else "-",
+            "wall_s": round(record["wall_seconds"], 3),
         }
-        for entry in store.entries_with_meta()
+        for record in store.records()
     ]
     rows.sort(
         key=lambda row: (
@@ -910,8 +910,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         if report.failed:
             print(f"FAILED cells (not stored): {', '.join(report.failed)}", file=sys.stderr)
-        # A shard's per-cell flight records live in the store sidecars (the
-        # merger reassembles them); the --trace file gets this worker's
+        # A shard's per-cell flight records ride inline in its store records
+        # (the merger reassembles them); the --trace file gets this worker's
         # harness half: claim/store counters and shard.cell wall spans.
         _write_trace_file(args.trace_path, runner.trace_document([]))
         if report.failed:

@@ -51,19 +51,22 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.capabilities import CapabilityMatrix, CapabilityProber
+from repro.core.capabilities import CapabilityMatrix, CapabilityProber, ServiceCapabilities
+from repro.core.experiments import CompressionPoint, DeltaPoint, IdleServiceResult, SynSeriesServiceResult
 from repro.core.experiments.compression import CONTENT_CLASSES, CompressionExperiment, CompressionExperimentResult
 from repro.core.experiments.datacenters import DataCenterExperiment, DataCenterResult
 from repro.core.experiments.delta import DELTA_CASES, DeltaEncodingExperiment, DeltaResult
 from repro.core.experiments.idle import IdleExperiment, IdleResult
 from repro.core.experiments.performance import PerformanceExperiment, PerformanceResult
 from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult
+from repro.core.metrics import PerformanceMetrics
 from repro.core.report import render_grouped_bars, render_table
 from repro.core.store import ResultStore
 from repro.core.workloads import PAPER_WORKLOADS, workload_by_name
 from repro.errors import ConfigurationError, UnknownServiceError
 from repro.filegen.model import FileKind
-from repro.load.population import LoadParameters, LoadStageResult, run_load_cell
+from repro.geo.discovery import DiscoveryReport
+from repro.load.population import LoadCellSummary, LoadParameters, LoadStageResult, run_load_cell
 from repro.netsim.scenario import BASELINE, ScenarioSpec
 from repro.obs.recorder import campaign_trace_document, cell_flight_record, harness_record
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
@@ -92,6 +95,7 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "run_cell",
+    "stage_payload_type",
     "merge_cell_results",
     "results_document",
     "suite_stage_rows",
@@ -249,13 +253,16 @@ class _StageSpec:
     """Everything the engine needs to know about one campaign stage.
 
     ``name`` doubles as the :class:`SuiteResult`
-    attribute holding the stage's merged container.  ``units`` is the
-    stage's planner: the sub-unit labels one service splits into (most
-    stages have a single whole-service unit).  Adding a stage means adding
-    exactly one spec (plus the ``SuiteResult`` field).
+    attribute holding the stage's merged container.  ``payload`` is the
+    type one cell's ``run`` returns — what the result store's codec encodes
+    and decodes.  ``units`` is the stage's planner: the sub-unit labels one
+    service splits into (most stages have a single whole-service unit).
+    Adding a stage means adding exactly one spec (plus the ``SuiteResult``
+    field).
     """
 
     name: str
+    payload: Any  # the type run() returns, e.g. List[DeltaPoint]
     run: Callable[[CampaignCell], Any]
     empty: Callable[[Any], Any]  # payload -> fresh merged-stage container
     fold: Callable[[Any, CampaignCell, Any], None]  # container, cell, payload
@@ -360,20 +367,28 @@ def _fold_load(container: LoadStageResult, cell: CampaignCell, payload: Any) -> 
 _STAGE_SPECS: Dict[str, _StageSpec] = {
     spec.name: spec
     for spec in (
-        _StageSpec("capabilities", _run_capabilities, lambda payload: CapabilityMatrix(), _fold_matrix),
-        _StageSpec("idle", _run_idle, lambda payload: IdleResult(duration=payload.duration), _fold_service_map),
-        _StageSpec("datacenters", _run_datacenters, lambda payload: DataCenterResult(), _fold_report),
-        _StageSpec("syn_series", _run_syn_series, lambda payload: SynSeriesResult(), _fold_service_map),
-        _StageSpec("delta", _run_delta, lambda payload: DeltaResult(), _fold_points, _delta_units),
+        _StageSpec("capabilities", ServiceCapabilities, _run_capabilities, lambda p: CapabilityMatrix(), _fold_matrix),
+        _StageSpec("idle", IdleServiceResult, _run_idle, lambda p: IdleResult(duration=p.duration), _fold_service_map),
+        _StageSpec("datacenters", DiscoveryReport, _run_datacenters, lambda p: DataCenterResult(), _fold_report),
+        _StageSpec("syn_series", SynSeriesServiceResult, _run_syn_series, lambda p: SynSeriesResult(), _fold_service_map),
+        _StageSpec("delta", List[DeltaPoint], _run_delta, lambda p: DeltaResult(), _fold_points, _delta_units),
         _StageSpec(
             "compression",
+            List[CompressionPoint],
             _run_compression,
-            lambda payload: CompressionExperimentResult(),
+            lambda p: CompressionExperimentResult(),
             _fold_points,
             _compression_units,
         ),
-        _StageSpec("performance", _run_performance, lambda payload: PerformanceResult(), _fold_runs, _performance_units),
-        _StageSpec("load", _run_load, lambda payload: LoadStageResult(), _fold_load, _load_units),
+        _StageSpec(
+            "performance",
+            List[PerformanceMetrics],
+            _run_performance,
+            lambda p: PerformanceResult(),
+            _fold_runs,
+            _performance_units,
+        ),
+        _StageSpec("load", LoadCellSummary, _run_load, lambda p: LoadStageResult(), _fold_load, _load_units),
     )
 }
 
@@ -388,6 +403,11 @@ def _spec(stage: str) -> _StageSpec:
         raise ConfigurationError(
             f"unknown campaign stage {stage!r}; valid stages: {', '.join(STAGES)}"
         ) from None
+
+
+def stage_payload_type(stage: str) -> Any:
+    """The type one ``stage`` cell's payload has (the store codec's schema)."""
+    return _spec(stage).payload
 
 
 # --------------------------------------------------------------------------- #

@@ -6,43 +6,65 @@ more seeds, stages or repetitions) should pick up where it left off instead
 of re-simulating every cell.  Because a campaign cell's payload is a pure
 function of its identity — (stage, service, unit, seed,
 :class:`~repro.core.campaign.CampaignConfig`) — that identity can serve as
-a cache key: :class:`ResultStore` pickles each completed
+a cache key: :class:`ResultStore` keeps each completed
 :class:`~repro.core.campaign.CellResult` under a content hash of the
 identity plus :data:`STORE_SCHEMA_VERSION`, and the campaign runner
 consults the store before dispatching work.
 
-Entries are written atomically (temp file + ``os.replace``), so a campaign
-killed mid-save never leaves a truncated entry behind; an unreadable entry
-(e.g. hand-truncated, or pickled by an incompatible library version) is
-logged, deleted and treated as a cache miss, so a damaged store heals
-itself instead of wedging every subsequent campaign.
+Each cell is one self-contained canonical-JSON *record*,
+``<stage>/<service>.<unit>.<key16>.json``, holding the ``schema``, the full
+``key``, the ``cell`` identity (stage, service, unit, seed), the ``runner``
+that computed it, ``wall_seconds``, the typed ``payload`` (through the
+small dataclass codec :func:`to_json`/:func:`from_json`, driven by the
+stage's payload type), the cell's flight record ``trace`` (or ``null``) and
+a sha256 ``checksum`` over all of the rest.  A record is plain data: it is
+inspectable with any JSON tool and readable by any Python version.
+
+Records are written atomically (temp file + ``os.replace``).  Reading one
+follows a single rule:
+
+* unreadable file (``OSError``) — a miss; the file is kept;
+* not parseable as a JSON object, or a checksum mismatch at the current
+  schema — *corrupt*: logged, deleted (``store.corrupt_healed``) and a
+  miss, so a damaged store heals itself instead of wedging every campaign;
+* any other ``schema`` — *foreign*: a miss, kept on disk (on a shared store
+  another code version may still want it; ``cloudbench cache rm
+  --schema-foreign`` removes it);
+* current schema with a valid checksum, but a ``key`` other than
+  :func:`cache_key` of the cell or a payload that no longer decodes — a
+  miss, kept.
+
+Files not ending in ``.json`` (such as the ``.pkl`` entries of stores
+written before records were JSON, or in-flight ``.tmp`` files) are not
+entries at all.
 
 The store is also the substrate for cross-machine sharding
 (:mod:`repro.dist`): any number of runners pointed at a shared directory
-compute disjoint cells and merge for free.  To support that, every entry
-records which runner computed it (``runner`` provenance, surfaced by
-:meth:`ResultStore.entries_with_meta` and the ``cloudbench cache ls`` /
-``cloudbench merge`` accounting), and the sibling ``.claims`` directory
-(managed by :class:`repro.dist.claims.ClaimBoard`) holds the work-stealing
-lease files.
+compute disjoint cells and merge for free.  To support that, every record
+names the runner that computed it (surfaced by :meth:`ResultStore.records`
+and the ``cloudbench cache ls`` / ``cloudbench merge`` accounting), and the
+sibling ``.claims`` directory (managed by
+:class:`repro.dist.claims.ClaimBoard`) holds the work-stealing lease files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import logging
 import os
-import pickle
 import re
 import tempfile
-from typing import TYPE_CHECKING, Iterator, Optional
+import typing
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro import wallclock
 from repro.errors import ConfigurationError
 from repro.obs.tracer import current_tracer
-from repro.specio import canonical_text
+from repro.specio import canonical_json, canonical_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.core.campaign import CampaignCell, CellResult
@@ -52,20 +74,22 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "CONFIG_KEY_FIELDS",
     "cache_key",
+    "to_json",
+    "from_json",
     "ResultStore",
     "StoreEntry",
 ]
 
 logger = logging.getLogger(__name__)
 
-#: Version of the on-disk entry layout *and* of the key material.  Bump it
-#: whenever either changes: every existing entry then misses and is rebuilt.
+#: Version of the on-disk record layout *and* of the key material.  Bump it
+#: whenever either changes: every existing record then misses and is rebuilt.
 #: (2: the key material gained the service-spec fingerprint and the
 #: scenario-bearing campaign config.  3: CellResult grew failure/trace
-#: fields — older pickles would break ``dataclasses.replace`` on load.
-#: 4: the campaign config gained the ``load`` stage's population knobs and
-#: the ``rep_cells`` plan axis — old keys did not cover them.)
-STORE_SCHEMA_VERSION = 4
+#: fields.  4: the campaign config gained the ``load`` stage's population
+#: knobs and the ``rep_cells`` plan axis — old keys did not cover them.
+#: 5: one self-contained canonical-JSON record per cell, flight record inline.)
+STORE_SCHEMA_VERSION = 5
 
 #: Where ``cloudbench all --resume`` keeps its store when no --cache-dir is given.
 DEFAULT_CACHE_DIR = ".cloudbench-cache"
@@ -131,27 +155,93 @@ def cache_key(cell: "CampaignCell") -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+# --------------------------------------------------------------------------- #
+# Payload codec: typed dataclasses <-> plain JSON values
+# --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls: type) -> tuple:
+    """``(name, resolved type)`` for every field of a payload dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((field.name, hints[field.name]) for field in dataclasses.fields(cls))
+
+
+def to_json(value: Any, hint: Any) -> Any:
+    """Encode ``value`` (of type ``hint``) as plain JSON values.
+
+    Dataclasses become objects, enums their ``value``, lists and tuples
+    arrays, and dicts arrays of ``[key, value]`` pairs — so non-string keys
+    and insertion order survive.  Scalars pass through unchanged.
+    """
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else to_json(value, args[0])
+    if origin is list:
+        return [to_json(item, args[0]) for item in value]
+    if origin is tuple:
+        return [to_json(item, arg) for item, arg in zip(value, args)]
+    if origin is dict:
+        return [[to_json(key, args[0]), to_json(item, args[1])] for key, item in value.items()]
+    if dataclasses.is_dataclass(hint):
+        return {name: to_json(getattr(value, name), field) for name, field in _field_hints(hint)}
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return value.value
+    return value
+
+
+def from_json(data: Any, hint: Any) -> Any:
+    """Inverse of :func:`to_json`; raises ``TypeError``/``ValueError`` on a shape mismatch."""
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if data is None else from_json(data, args[0])
+    if origin in (list, tuple, dict) and not isinstance(data, list):
+        raise TypeError(f"expected a JSON array for {hint}, got {type(data).__name__}")
+    if origin is list:
+        return [from_json(item, args[0]) for item in data]
+    if origin is tuple:
+        if len(data) != len(args):
+            raise ValueError(f"expected {len(args)} items for {hint}, got {len(data)}")
+        return tuple(from_json(item, arg) for item, arg in zip(data, args))
+    if origin is dict:
+        return {from_json(key, args[0]): from_json(item, args[1]) for key, item in data}
+    if dataclasses.is_dataclass(hint):
+        fields = _field_hints(hint)
+        if not isinstance(data, dict) or set(data) != {name for name, _ in fields}:
+            raise ValueError(f"record fields do not match {hint.__name__}")
+        return hint(**{name: from_json(data[name], field) for name, field in fields})
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint(data)
+    return data
+
+
+def _checksum(record: dict) -> str:
+    """sha256 over every record field except the checksum itself."""
+    body = {name: value for name, value in record.items() if name != "checksum"}
+    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+
+
+def _is_current(record: Optional[dict]) -> bool:
+    return record is not None and record.get("schema") == STORE_SCHEMA_VERSION
+
+
 @dataclasses.dataclass(frozen=True)
 class StoreEntry:
-    """One store entry: the cell result plus its on-disk/provenance metadata.
+    """One loaded record: the cell result plus its on-disk/provenance metadata.
 
     ``runner`` is the id of the shard worker that computed the payload
-    (``None`` for entries written by a plain ``cloudbench all`` run).
+    (``None`` for records written by a plain ``cloudbench all`` run).
     """
 
     result: "CellResult"
     path: str
     runner: Optional[str] = None
 
-    @property
-    def cell(self) -> "CampaignCell":
-        return self.result.cell
-
 
 class ResultStore:
-    """Directory of pickled cell results, one file per cell identity.
+    """Directory of canonical-JSON cell records, one file per cell identity.
 
-    ``runner`` tags every entry this store instance saves with a runner id,
+    ``runner`` tags every record this store instance saves with a runner id,
     so multi-runner campaigns (:mod:`repro.dist`) can report which machine
     computed which cell.
     """
@@ -161,20 +251,12 @@ class ResultStore:
         self.runner = runner
 
     def path_for(self, cell: "CampaignCell") -> str:
-        """Store file for one cell: ``<root>/<stage>/<service>.<unit>.<key>.pkl``."""
-        name = ".".join(
-            (
-                _UNSAFE.sub("_", cell.service),
-                _UNSAFE.sub("_", cell.unit),
-                cache_key(cell)[:16],
-            )
-        )
-        return os.path.join(self.root, _UNSAFE.sub("_", cell.stage), name + ".pkl")
+        """Record file for one cell: ``<root>/<stage>/<service>.<unit>.<key16>.json``."""
+        return self._path(cell, cache_key(cell))
 
-    def trace_path_for(self, cell: "CampaignCell") -> str:
-        """Flight-record sidecar for one cell: the entry path with ``.trace.json``."""
-        path = self.path_for(cell)
-        return path[: -len(".pkl")] + ".trace.json"
+    def _path(self, cell: "CampaignCell", key: str) -> str:
+        name = ".".join((_UNSAFE.sub("_", cell.service), _UNSAFE.sub("_", cell.unit), key[:16]))
+        return os.path.join(self.root, _UNSAFE.sub("_", cell.stage), name + ".json")
 
     def claims_root(self) -> str:
         """Directory holding the work-stealing lease files for this store."""
@@ -188,94 +270,52 @@ class ResultStore:
     def load_entry(self, cell: "CampaignCell") -> Optional[StoreEntry]:
         """The stored entry (result + provenance) for ``cell``, or ``None``.
 
-        A truncated or otherwise unreadable pickle (campaign killed
-        mid-write before the atomic rename — should not happen, but belts
-        and braces; or an entry written by an incompatible code version)
-        reads as a miss, never as an error: it is logged and *deleted*, so
-        the runner recomputes the cell and the store heals.  A structurally
-        valid entry for a foreign schema or identity is left alone and
-        simply misses.
+        Misses follow the read rule of the module docstring.  A hit carries
+        the record's flight record as ``trace`` whether or not the current
+        run is traced.
         """
-        path = self.path_for(cell)
-        tracer = current_tracer()
-        entry = self._read_entry(path)
-        if entry is None or entry.get("schema") != STORE_SCHEMA_VERSION:
-            tracer.count("store.misses")
-            return None
-        result = entry.get("result")
-        if result is None or getattr(result, "cell", None) != cell:
-            tracer.count("store.misses")
-            return None
-        tracer.count("store.hits")
-        return StoreEntry(
-            result=dataclasses.replace(result, cached=True, trace=self._load_trace(cell)),
-            path=path,
-            runner=entry.get("runner"),
-        )
+        from repro.core.campaign import CellResult, stage_payload_type
 
-    def _load_trace(self, cell: "CampaignCell") -> Optional[dict]:
-        """The cell's flight-record sidecar, if a traced run persisted one."""
-        try:
-            with open(self.trace_path_for(cell), "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
+        key = cache_key(cell)
+        path = self._path(cell, key)
+        record = self._read(path)
+        result = None
+        if _is_current(record) and record.get("key") == key:
+            try:
+                result = CellResult(
+                    cell=cell,
+                    payload=from_json(record["payload"], stage_payload_type(cell.stage)),
+                    wall_seconds=record["wall_seconds"],
+                    cached=True,
+                    trace=record["trace"],
+                )
+            except (KeyError, TypeError, ValueError) as error:
+                logger.info("store record %s does not decode here (%s); recomputing", path, error)
+        if result is None:
+            current_tracer().count("store.misses")
             return None
-        return record if isinstance(record, dict) else None
+        current_tracer().count("store.hits")
+        return StoreEntry(result=result, path=path, runner=record.get("runner"))
 
-    def _read_entry(self, path: str) -> Optional[dict]:
-        """Parse one entry file; corrupt files are logged, deleted and miss.
-
-        Only genuine corruption signals (torn/truncated pickle streams)
-        trigger deletion.  AttributeError/ImportError mean the entry was
-        pickled by a *different code version* — on a shared store with
-        mixed-version runners, deleting those would let the versions
-        destroy each other's completed work, so they miss but stay on
-        disk; transient read errors (OSError) likewise just miss.
-        """
+    def _read(self, path: str) -> Optional[dict]:
+        """Parse one record file: ``None`` if unreadable or corrupt (then deleted)."""
         try:
             with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, IndexError) as error:
-            self._discard_corrupt(path, error)
-            return None
-        except (OSError, AttributeError, ImportError):
-            return None
-        if not isinstance(entry, dict):
-            self._discard_corrupt(path, TypeError(f"entry is {type(entry).__name__}, not dict"))
-            return None
-        return entry
-
-    def _is_schema_foreign(self, path: str) -> bool:
-        """Whether an entry belongs to a different schema *or code* version.
-
-        This is the explicit-GC classifier behind ``prune(schema_foreign=
-        True)``.  Unlike the cache-miss path (:meth:`_read_entry`, which
-        deliberately keeps version-skew pickles alive so mixed-version
-        runners on a shared store cannot destroy each other's work), an
-        operator asking for schema-foreign GC wants exactly those files
-        gone: entries that unpickle to a foreign ``schema`` *and* entries
-        whose pickle cannot load under this code version at all
-        (AttributeError/ImportError).  Transient read errors stay off the
-        kill list; genuinely corrupt files are healed as usual.
-        """
-        try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-        except (AttributeError, ImportError):
-            return True  # pickled by a different code version
-        except (pickle.UnpicklingError, EOFError, IndexError) as error:
-            self._discard_corrupt(path, error)
-            return False  # already gone: healed, not pruned
+                text = handle.read()
         except OSError:
-            return False
-        return not isinstance(entry, dict) or entry.get("schema") != STORE_SCHEMA_VERSION
-
-    def _entry_cell(self, path: str) -> Optional["CampaignCell"]:
-        """The cell identity of one readable, current-schema entry file."""
-        entry = self._read_entry(path)
-        if entry is None or entry.get("schema") != STORE_SCHEMA_VERSION:
             return None
-        return getattr(entry.get("result"), "cell", None)
+        try:
+            record = json.loads(text)
+        except ValueError as error:
+            self._discard_corrupt(path, error)
+            return None
+        if not isinstance(record, dict):
+            self._discard_corrupt(path, ValueError(f"record is a JSON {type(record).__name__}, not an object"))
+            return None
+        if _is_current(record) and record.get("checksum") != _checksum(record):
+            self._discard_corrupt(path, ValueError("checksum mismatch"))
+            return None
+        return record
 
     def _discard_corrupt(self, path: str, error: Exception) -> None:
         logger.warning("discarding corrupt store entry %s (%s: %s)", path, type(error).__name__, error)
@@ -286,94 +326,62 @@ class ResultStore:
             pass
 
     def save(self, result: "CellResult") -> str:
-        """Persist one cell result atomically; returns the entry's path.
+        """Persist one cell result atomically; returns the record's path.
 
         Saves are idempotent and last-writer-wins: because a cell's payload
         is a pure function of its identity, two runners racing to save the
-        same cell write byte-equivalent results and the atomic rename keeps
-        whichever landed last.
-
-        A traced result's flight record is written to a JSON *sidecar* next
-        to the entry (``<entry>.trace.json``, also atomic) and stripped
-        from the pickle, so untraced loads never pay for trace payloads and
-        the sidecar is inspectable without unpickling anything.
+        same cell write equivalent records and the atomic rename keeps
+        whichever landed last.  Failed cells have no payload to cache.
         """
-        path = self.path_for(result.cell)
+        from repro.core.campaign import stage_payload_type
+
+        cell = result.cell
+        if result.failed:
+            raise ValueError(f"cannot store failed cell {cell.key}: the store caches payloads only")
+        key = cache_key(cell)
+        record = {
+            "schema": STORE_SCHEMA_VERSION,
+            "key": key,
+            "cell": {"stage": cell.stage, "service": cell.service, "unit": cell.unit, "seed": cell.seed},
+            "runner": self.runner,
+            "wall_seconds": result.wall_seconds,
+            "payload": to_json(result.payload, stage_payload_type(cell.stage)),
+            "trace": result.trace,
+        }
+        record["checksum"] = _checksum(record)
+        path = self._path(cell, key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        entry = {
-            "schema": STORE_SCHEMA_VERSION,
-            "key": cache_key(result.cell),
-            "runner": self.runner,
-            "result": dataclasses.replace(result, cached=False, trace=None),
-        }
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-        if result.trace is not None:
-            self._save_trace(result.cell, result.trace, directory)
-        current_tracer().count("store.saves")
-        return path
-
-    def _save_trace(self, cell: "CampaignCell", record: dict, directory: str) -> None:
-        """Atomically write one cell's flight-record sidecar."""
-        trace_path = self.trace_path_for(cell)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(canonical_text(record))
-            os.replace(tmp_path, trace_path)
+            os.replace(tmp_path, path)
         finally:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
-        logger.info("flight record written to %s", trace_path)
+        current_tracer().count("store.saves")
+        return path
 
     def entries(self) -> Iterator[str]:
-        """Paths of every entry currently in the store."""
+        """Paths of every record file (``*.json``) currently in the store."""
         for dirpath, dirnames, filenames in os.walk(self.root):
             dirnames[:] = sorted(name for name in dirnames if name != ".claims")
             for filename in sorted(filenames):
-                if filename.endswith(".pkl"):
+                if filename.endswith(".json"):
                     yield os.path.join(dirpath, filename)
 
-    def orphan_sidecars(self) -> Iterator[str]:
-        """Flight-record sidecars whose entry pickle no longer exists.
+    def records(self) -> Iterator[dict]:
+        """Every intact current-schema record, in :meth:`entries` order.
 
-        A sidecar lives and dies with its ``.pkl`` entry, but an entry can
-        disappear without its sidecar — corrupt-entry healing and racing
-        deleters unlink only the pickle.  Such orphans are unreachable (a
-        trace is only ever loaded through its entry), so :meth:`prune`
-        sweeps them.
-        """
-        for dirpath, dirnames, filenames in os.walk(self.root):
-            dirnames[:] = sorted(name for name in dirnames if name != ".claims")
-            for filename in sorted(filenames):
-                if not filename.endswith(".trace.json"):
-                    continue
-                entry = filename[: -len(".trace.json")] + ".pkl"
-                if not os.path.exists(os.path.join(dirpath, entry)):
-                    yield os.path.join(dirpath, filename)
-
-    def entries_with_meta(self) -> Iterator[StoreEntry]:
-        """Every readable entry with its provenance, for store inspection.
-
-        Corrupt files encountered along the way are logged and deleted
-        (exactly as :meth:`load_entry` would); foreign-schema entries are
-        skipped but kept on disk.
+        For store inspection (``cloudbench cache ls``, ``cloudbench trace``):
+        payloads stay undecoded.  Corrupt files met along the way are healed
+        as :meth:`load_entry` would; foreign records are skipped but kept.
         """
         for path in list(self.entries()):
-            entry = self._read_entry(path)
-            if entry is None or entry.get("schema") != STORE_SCHEMA_VERSION:
-                continue
-            result = entry.get("result")
-            if result is None or getattr(result, "cell", None) is None:
-                continue
-            yield StoreEntry(result=result, path=path, runner=entry.get("runner"))
+            record = self._read(path)
+            if _is_current(record):
+                yield record
 
     def prune(
         self,
@@ -383,25 +391,22 @@ class ResultStore:
         older_than: Optional[float] = None,
         schema_foreign: bool = False,
     ) -> int:
-        """Delete entries matching the given selectors; returns the count.
+        """Delete records matching the given selectors; returns the count.
 
-        ``older_than`` is a TTL in seconds: only entries whose file mtime
+        ``older_than`` is a TTL in seconds: only records whose file mtime
         (i.e. the moment their result last landed) is older than that age
         are removed — the store-compaction GC behind ``cloudbench cache rm
         --older-than 7d``.  The age filter runs *first* (a cheap ``stat``),
-        so a TTL pass never unpickles — or heals — entries the cutoff
-        excludes.  ``schema_foreign`` selects entries written under a
-        *different* :data:`STORE_SCHEMA_VERSION` or an incompatible code
-        version — the one class of file the ordinary selectors cannot
-        address because their identity cannot be trusted; it therefore
-        ignores ``stage``/``service`` but still honors ``older_than``.
+        so a TTL pass never parses — or heals — records the cutoff
+        excludes.  ``schema_foreign`` selects records of a *different*
+        :data:`STORE_SCHEMA_VERSION` — the one class of file the ordinary
+        selectors cannot address because their identity cannot be trusted;
+        it therefore ignores ``stage``/``service`` but still honors
+        ``older_than``.
 
-        With no selector at all every entry file is removed (``cloudbench
-        cache rm --all``) — including foreign-schema entries — along with
+        With no selector at all every record file is removed (``cloudbench
+        cache rm --all``) — including foreign-schema records — along with
         any leftover work-stealing claim files.
-
-        Every pass also sweeps orphaned flight-record sidecars (see
-        :meth:`orphan_sidecars`), subject only to the ``older_than`` cutoff.
         """
         removed = 0
         wipe_all = stage is None and service is None and older_than is None and not schema_foreign
@@ -416,40 +421,11 @@ class ResultStore:
                 except OSError:  # pragma: no cover - racing deleters are fine
                     pass
             paths = aged
-        if schema_foreign:
-            paths = [path for path in paths if self._is_schema_foreign(path)]
-        elif stage is not None or service is not None:
-            selected = []
-            for path in paths:
-                cell = self._entry_cell(path)
-                if cell is None:
-                    continue
-                if (stage is None or cell.stage == stage) and (service is None or cell.service == service):
-                    selected.append(path)
-            paths = selected
+        if schema_foreign or stage is not None or service is not None:
+            paths = [path for path in paths if self._selected(self._read(path), stage, service, schema_foreign)]
         for path in paths:
             try:
                 os.unlink(path)
-                removed += 1
-            except OSError:  # pragma: no cover - racing deleters are fine
-                pass
-            # An entry's flight-record sidecar lives and dies with the entry.
-            try:
-                os.unlink(path[: -len(".pkl")] + ".trace.json")
-            except OSError:
-                pass
-        # Orphaned sidecars (entry pickle already gone) are unreachable
-        # garbage with no identity left to match selectors against, so any
-        # GC pass sweeps them; only the TTL filter still applies.
-        for sidecar in list(self.orphan_sidecars()):
-            if older_than is not None:
-                try:
-                    if os.stat(sidecar).st_mtime > wallclock.now() - older_than:
-                        continue
-                except OSError:  # pragma: no cover - racing deleters are fine
-                    continue
-            try:
-                os.unlink(sidecar)
                 removed += 1
             except OSError:  # pragma: no cover - racing deleters are fine
                 pass
@@ -464,6 +440,18 @@ class ResultStore:
                     except OSError:  # pragma: no cover
                         pass
         return removed
+
+    @staticmethod
+    def _selected(record: Optional[dict], stage: Optional[str], service: Optional[str], foreign: bool) -> bool:
+        """Whether one parsed record matches a selective :meth:`prune` pass."""
+        if record is None:
+            return False
+        if foreign:
+            return not _is_current(record)
+        if not _is_current(record):
+            return False
+        cell = record["cell"]
+        return (stage is None or cell["stage"] == stage) and (service is None or cell["service"] == service)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())

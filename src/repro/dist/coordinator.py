@@ -399,8 +399,9 @@ class CampaignMerger:
             wall_seconds=time.perf_counter() - started,
         )
         if self.runner.trace:
-            # Flight records ride the store sidecars, so a traced merge can
-            # reassemble the full campaign trace without recomputing a cell.
+            # Flight records ride inline in the store records, so a traced
+            # merge can reassemble the full campaign trace without
+            # recomputing a cell.
             sweep.trace = self.runner.trace_document(results)
         runner_cells: Counter = Counter()
         runner_cpu: Dict[str, float] = {}

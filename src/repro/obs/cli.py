@@ -1,7 +1,9 @@
 """Execution of the ``cloudbench trace`` sub-commands.
 
-``trace ls`` inventories the flight-record sidecars of a result store,
-``trace show`` summarizes one record (or a whole campaign trace), and
+``trace ls`` inventories the flight records a result store's cell records
+carry inline (their ``trace`` field, read through
+:class:`~repro.core.store.ResultStore`), ``trace show`` summarizes one
+flight record (or a whole campaign trace), and
 ``trace export`` converts either into Chrome trace-event form for
 Perfetto or canonical JSON for diffing — ``--sim-only`` strips the
 run-specific wall half first, yielding the byte-comparable form CI
@@ -20,6 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.campaign import STAGES
 from repro.core.report import render_table
+from repro.core.store import ResultStore
 from repro.errors import ConfigurationError
 from repro.obs.export import chrome_trace
 from repro.obs.recorder import (
@@ -30,21 +33,7 @@ from repro.obs.recorder import (
 )
 from repro.specio import canonical_text
 
-__all__ = ["TRACE_SIDECAR_SUFFIX", "sidecar_paths", "load_trace_file", "execute_ls", "execute_show", "execute_export"]
-
-#: Flight-record sidecars live next to their store entry: ``<entry>.trace.json``.
-TRACE_SIDECAR_SUFFIX = ".trace.json"
-
-
-def sidecar_paths(store_dir: str) -> List[str]:
-    """Every flight-record sidecar under a store directory, sorted walk order."""
-    found: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(store_dir):
-        dirnames[:] = sorted(name for name in dirnames if name != ".claims")
-        for filename in sorted(filenames):
-            if filename.endswith(TRACE_SIDECAR_SUFFIX):
-                found.append(os.path.join(dirpath, filename))
-    return found
+__all__ = ["load_trace_file", "execute_ls", "execute_show", "execute_export"]
 
 
 def load_trace_file(path: str) -> Dict[str, object]:
@@ -73,13 +62,8 @@ def _cell_sort_key(record: Dict[str, object]):
 
 
 def _store_records(store_dir: str) -> List[Dict[str, object]]:
-    """Every readable flight record in a store, campaign plan order."""
-    records = []
-    for path in sidecar_paths(store_dir):
-        try:
-            records.append(load_trace_file(path))
-        except ConfigurationError:
-            continue  # a foreign .trace.json is not ours to choke on
+    """Every flight record the store's cell records carry, campaign plan order."""
+    records = [record["trace"] for record in ResultStore(store_dir).records() if record.get("trace") is not None]
     records.sort(key=_cell_sort_key)
     return records
 

@@ -18,7 +18,7 @@ spellings: :func:`canonical_json` (minimal separators) is what every spec
 fingerprint hashes, the same bytes no matter which format — or which
 Python version — the spec was loaded from; :func:`canonical_text`
 (indented, newline-terminated) is how the diffable key-value reports —
-trace documents, store sidecars, benchmark documents, lint reports — are
+trace documents, store records, benchmark documents, lint reports — are
 written.
 """
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["CompressionPolicy", "CompressionResult", "Compressor", "looks_compressed"]
 
@@ -88,21 +89,21 @@ class Compressor:
         discarded (zlib adds a few bytes of framing on incompressible data),
         since every real client falls back to the raw payload in that case.
         """
-        original = len(data)
-        if original == 0:
-            return CompressionResult(original_size=0, transmitted_size=0, compressed=False)
-        if self.policy is CompressionPolicy.NEVER:
-            return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
-        if self.policy is CompressionPolicy.SMART and looks_compressed(data):
-            return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
-        compressed_size = len(zlib.compress(data, self.level))
-        if compressed_size >= original:
-            return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
-        return CompressionResult(original_size=original, transmitted_size=compressed_size, compressed=True)
+        return self._apply(data)[0]
 
     def compress(self, data: bytes) -> bytes:
         """Return the actual bytes that would be transmitted for ``data``."""
-        result = self.process(data)
-        if not result.compressed:
-            return data
-        return zlib.compress(data, self.level)
+        return self._apply(data)[1]
+
+    def _apply(self, data: bytes) -> Tuple[CompressionResult, bytes]:
+        """The :meth:`process` decision plus the bytes it transmits, in one zlib pass."""
+        original = len(data)
+        raw = CompressionResult(original_size=original, transmitted_size=original, compressed=False), data
+        if self.policy is CompressionPolicy.NEVER or original == 0:
+            return raw
+        if self.policy is CompressionPolicy.SMART and looks_compressed(data):
+            return raw
+        compressed = zlib.compress(data, self.level)
+        if len(compressed) >= original:
+            return raw
+        return CompressionResult(original_size=original, transmitted_size=len(compressed), compressed=True), compressed

@@ -201,26 +201,33 @@ class TestMetricsMeaning:
         assert counters["claims.acquired"] == 1
 
 
-class TestStoreSidecars:
-    def test_save_writes_sidecar_and_load_reattaches(self, tmp_path):
+class TestStoreTraces:
+    def test_traced_save_reloads_trace_inline(self, tmp_path):
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
         result = run_cell(cell, True)
         path = store.save(result)
-        sidecar = path[: -len(".pkl")] + ".trace.json"
-        assert os.path.exists(sidecar)
+        assert sorted(os.listdir(os.path.dirname(path))) == [os.path.basename(path)]  # no sidecar
         loaded = store.load(cell)
         assert loaded.cached
         assert sim_bytes_record(loaded.trace) == sim_bytes_record(result.trace)
-        # Prune removes the sidecar together with the entry.
-        store.prune(stage="syn_series")
-        assert not os.path.exists(sidecar)
 
-    def test_untraced_save_writes_no_sidecar(self, tmp_path):
+    def test_untraced_run_hitting_a_traced_record_gets_its_trace(self, tmp_path):
+        store_dir = str(tmp_path)
+        traced = make_runner(stages=("syn_series",), store=ResultStore(store_dir)).run()
+        untraced = make_runner(stages=("syn_series",), store=ResultStore(store_dir), trace=False).run()
+        assert untraced.cache_hits() == len(untraced.cells)
+        assert [sim_bytes_record(result.trace) for result in untraced.cells] == [
+            sim_bytes_record(result.trace) for result in traced.cells
+        ]
+
+    def test_untraced_save_records_null_trace(self, tmp_path):
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
         path = store.save(run_cell(cell))
-        assert not os.path.exists(path[: -len(".pkl")] + ".trace.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["trace"] is None
+        assert store.load(cell).trace is None
 
 
 def sim_bytes_record(record):

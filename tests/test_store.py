@@ -3,20 +3,44 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import os
-import pickle
+import shutil
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 import repro.core.campaign as campaign_module
 import repro.core.store as store_module
 from repro.core.campaign import CampaignCell, CampaignConfig, CampaignRunner, run_cell, suite_stage_rows
-from repro.core.store import STORE_SCHEMA_VERSION, ResultStore, cache_key
+from repro.core.store import STORE_SCHEMA_VERSION, ResultStore, cache_key, from_json, to_json
+from repro.filegen.model import FileKind
+from repro.obs.tracer import Tracer, activate
+from repro.specio import canonical_text
 
 SERVICES = ["dropbox", "googledrive"]
 STAGE_SUBSET = ["idle", "syn_series", "performance"]
 CONFIG = CampaignConfig(repetitions=1, idle_duration=60.0, resolver_count=50)
+
+
+def rewrite_record(path, edit, *, reseal=True):
+    """Apply ``edit`` to the record at ``path``; ``reseal`` refreshes its checksum."""
+    with open(path, "r", encoding="utf-8") as handle:
+        record = json.load(handle)
+    edit(record)
+    if reseal:
+        record["checksum"] = store_module._checksum(record)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(canonical_text(record))
+
+
+def make_foreign(record):
+    record["schema"] = STORE_SCHEMA_VERSION + 1
+
+
+def truncate_half(text):
+    return text[: len(text) // 2]
 
 
 def make_runner(tmp_path, *, seed=42, jobs=1, stages=STAGE_SUBSET, config=CONFIG):
@@ -78,56 +102,89 @@ class TestResultStoreRoundTrip:
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
-        # Truncate the pickle as a kill-mid-write would (pre-atomic-rename).
-        with open(path, "wb") as handle:
-            handle.write(b"\x80")
-        with caplog.at_level(logging.WARNING, logger="repro.core.store"):
-            assert store.load(cell) is None
-        # The store heals: the torn entry is logged and removed, so the
-        # next run recomputes and re-saves instead of tripping forever.
+        for damage in (truncate_half, lambda text: b"\x80", lambda text: b"[]\n"):
+            # A torn write, a non-JSON file, or JSON that is not an object.
+            with open(path, "rb") as handle:
+                text = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(damage(text))
+            tracer = Tracer(label="store")
+            with caplog.at_level(logging.WARNING, logger="repro.core.store"), activate(tracer):
+                assert store.load(cell) is None
+            # The store heals: the damaged record is logged and removed, so
+            # the next run recomputes and re-saves instead of tripping forever.
+            assert not os.path.exists(path)
+            assert tracer.metrics.snapshot()["counters"]["store.corrupt_healed"] == 1
+            assert any("corrupt" in record.message for record in caplog.records)
+            caplog.clear()
+            store.save(run_cell(cell))
+            assert store.load(cell) is not None
+
+    def test_checksum_mismatch_is_corrupt(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
+        path = store.save(run_cell(cell))
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        # Flip one digit of the payload; the file is still valid JSON.
+        at = text.index('"total_connections": ') + len('"total_connections": ')
+        flipped = "1" if text[at] != "1" else "2"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text[:at] + flipped + text[at + 1 :])
+        assert store.load(cell) is None
         assert not os.path.exists(path)
-        assert any("corrupt" in record.message for record in caplog.records)
-        store.save(run_cell(cell))
-        assert store.load(cell) is not None
 
     def test_entry_with_wrong_payload_type_reads_as_miss(self, tmp_path):
+        # An intact current-schema record whose payload does not decode as
+        # the stage's payload type misses but stays on disk.
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
-        with open(path, "wb") as handle:
-            pickle.dump({"schema": STORE_SCHEMA_VERSION, "result": None}, handle)
-        assert store.load(cell) is None
-
-    def test_version_skew_entry_misses_but_is_kept_on_disk(self, tmp_path):
-        # An entry pickled by a different code version (unpicklable here:
-        # ImportError/AttributeError) must NOT be deleted — on a shared
-        # store, mixed-version runners would otherwise destroy each
-        # other's completed work.  It just misses for this version.
-        store = ResultStore(str(tmp_path))
-        cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
-        path = store.save(run_cell(cell))
-        with open(path, "wb") as handle:
-            handle.write(b"crepro.no_such_module\nThing\n.")  # GLOBAL of a missing module
+        rewrite_record(path, lambda record: record.update(payload=[1, 2, 3]))
         assert store.load(cell) is None
         assert os.path.exists(path)
 
-    def test_foreign_schema_entry_is_kept_on_disk(self, tmp_path):
-        # Unlike corruption, a structurally valid entry of another schema
-        # version just misses — it is not this version's to delete.
+    def test_version_skew_entry_misses_but_is_kept_on_disk(self, tmp_path):
+        # A record written at this schema by a code version whose payload
+        # dataclass had another field must NOT be deleted — on a shared
+        # store, mixed-version runners would otherwise destroy each other's
+        # completed work.  It just misses for this version.
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
-        entry["schema"] = STORE_SCHEMA_VERSION + 1
-        with open(path, "wb") as handle:
-            pickle.dump(entry, handle)
+        rewrite_record(path, lambda record: record["payload"].update(retired_field=0))
+        assert store.load(cell) is None
+        assert os.path.exists(path)
+
+    def test_key_mismatch_misses_but_is_kept_on_disk(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
+        path = store.save(run_cell(cell))
+        rewrite_record(path, lambda record: record.update(key="0" * 64))
+        assert store.load(cell) is None
+        assert os.path.exists(path)
+
+    def test_unreadable_entry_misses_but_is_kept(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
+        path = store.path_for(cell)
+        os.makedirs(path)  # opening a directory raises OSError
+        assert store.load(cell) is None
+        assert os.path.isdir(path)
+
+    def test_foreign_schema_entry_is_kept_on_disk(self, tmp_path):
+        # Unlike corruption, a record of another schema version just misses
+        # — whatever its checksum, it is not this version's to judge.
+        store = ResultStore(str(tmp_path))
+        cell = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
+        path = store.save(run_cell(cell))
+        rewrite_record(path, make_foreign, reseal=False)
         assert store.load(cell) is None
         assert os.path.exists(path)
 
     def test_unit_cell_round_trips_with_enum_payload(self, tmp_path):
         # A compression unit cell carries FileKind enums in its points;
-        # they must survive the pickle round-trip and compare equal.
+        # they must survive the JSON round-trip and compare equal.
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="compression", service="dropbox", seed=5, unit="fake_jpeg", config=CONFIG)
         computed = run_cell(cell)
@@ -142,7 +199,18 @@ class TestResultStoreRoundTrip:
         store.save(run_cell(CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)))
         store.save(run_cell(CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)))
         assert len(store) == 2
-        assert all(path.endswith(".pkl") for path in store.entries())
+        assert all(path.endswith(".json") for path in store.entries())
+
+    def test_pickle_era_and_temp_files_are_not_entries(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        path = store.save(run_cell(CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)))
+        stem = path[: -len(".json")]
+        for leftover in (stem + ".pkl", stem + ".tmp"):
+            with open(leftover, "wb") as handle:
+                handle.write(b"\x80")
+        assert list(store.entries()) == [path]
+        assert store.prune() == 1
+        assert os.path.exists(stem + ".pkl")  # this version ignores pickles entirely
 
     def test_save_records_runner_provenance(self, tmp_path):
         store = ResultStore(str(tmp_path), runner="machine-7")
@@ -150,13 +218,13 @@ class TestResultStoreRoundTrip:
         store.save(run_cell(cell))
         entry = store.load_entry(cell)
         assert entry is not None and entry.runner == "machine-7"
-        assert entry.cell == cell
+        assert entry.result.cell == cell
         # An untagged store (plain `cloudbench all`) records no runner.
         untagged = ResultStore(str(tmp_path))
         untagged.save(run_cell(cell))
         assert untagged.load_entry(cell).runner is None
 
-    def test_entries_with_meta_lists_identities(self, tmp_path):
+    def test_records_list_identities(self, tmp_path):
         store = ResultStore(str(tmp_path), runner="m1")
         cells = [
             CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG),
@@ -164,7 +232,9 @@ class TestResultStoreRoundTrip:
         ]
         for cell in cells:
             store.save(run_cell(cell))
-        meta = {(entry.cell.stage, entry.cell.service): entry.runner for entry in store.entries_with_meta()}
+        other = store.save(run_cell(CampaignCell(stage="idle", service="wuala", seed=5, config=CONFIG)))
+        rewrite_record(other, make_foreign, reseal=False)
+        meta = {(record["cell"]["stage"], record["cell"]["service"]): record["runner"] for record in store.records()}
         assert meta == {("idle", "dropbox"): "m1", ("syn_series", "googledrive"): "m1"}
 
     def test_prune_by_stage_service_and_all(self, tmp_path):
@@ -185,11 +255,7 @@ class TestResultStoreRoundTrip:
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
-        entry["schema"] = STORE_SCHEMA_VERSION + 1
-        with open(path, "wb") as handle:
-            pickle.dump(entry, handle)
+        rewrite_record(path, make_foreign, reseal=False)
         assert store.prune(stage="idle") == 0  # unreadable by selectors
         assert store.prune() == 1
         assert len(store) == 0
@@ -224,36 +290,35 @@ class TestResultStoreRoundTrip:
         foreign = CampaignCell(stage="idle", service="wuala", seed=5, config=CONFIG)
         store.save(run_cell(native))
         path = store.save(run_cell(foreign))
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
-        entry["schema"] = STORE_SCHEMA_VERSION + 1
-        with open(path, "wb") as handle:
-            pickle.dump(entry, handle)
+        rewrite_record(path, make_foreign, reseal=False)
         assert store.prune(schema_foreign=True) == 1
         assert not os.path.exists(path)
         assert store.load(native) is not None
 
-    def test_prune_schema_foreign_removes_version_skew_pickles(self, tmp_path):
-        # The cache-miss path deliberately keeps version-skew pickles on a
-        # shared store, but explicit --schema-foreign GC must remove them —
-        # they are exactly the files selector-based rm cannot address.
+    def test_prune_schema_foreign_removes_leftover_trace_sidecars(self, tmp_path):
+        # Stores written before records were JSON kept flight records in
+        # ``<entry>.trace.json`` sidecars.  Such a file parses as JSON but
+        # carries no store schema: foreign, so loads skip it and it stays
+        # until explicit --schema-foreign GC removes it.
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
-        with open(path, "wb") as handle:
-            handle.write(b"crepro.no_such_module\nThing\n.")  # GLOBAL of a missing module
+        sidecar = path[: -len(".json")] + ".trace.json"
+        with open(sidecar, "w", encoding="utf-8") as handle:
+            handle.write('{"kind": "cloudbench-flight-record", "schema": 1}\n')
+        assert store.load(cell) is not None
+        assert [record["key"] for record in store.records()] == [cache_key(cell)]
+        assert store.prune(stage="idle", service="wuala") == 0
+        assert os.path.exists(sidecar)
         assert store.prune(schema_foreign=True) == 1
-        assert not os.path.exists(path)
+        assert not os.path.exists(sidecar)
+        assert store.load(cell) is not None
 
     def test_prune_schema_foreign_honors_older_than(self, tmp_path):
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
-        entry["schema"] = STORE_SCHEMA_VERSION + 1
-        with open(path, "wb") as handle:
-            pickle.dump(entry, handle)
+        rewrite_record(path, make_foreign, reseal=False)
         assert store.prune(schema_foreign=True, older_than=3600.0) == 0  # too fresh
         aged = os.stat(path).st_mtime - 7200.0
         os.utime(path, (aged, aged))
@@ -267,52 +332,9 @@ class TestResultStoreRoundTrip:
         cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
         path = store.save(run_cell(cell))
         with open(path, "wb") as handle:
-            handle.write(b"\x80")  # torn pickle, freshly written
+            handle.write(b"\x80")  # not JSON, freshly written
         assert store.prune(schema_foreign=True, older_than=3600.0) == 0
         assert os.path.exists(path)  # untouched: younger than the cutoff
-
-    def test_prune_sweeps_orphaned_trace_sidecars(self, tmp_path):
-        # A sidecar whose entry pickle is gone (corrupt-entry healing only
-        # unlinks the .pkl) is unreachable garbage: any prune pass removes
-        # it, even one whose selectors match no entry at all.
-        store = ResultStore(str(tmp_path))
-        cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
-        path = store.save(run_cell(cell))
-        sidecar = store.trace_path_for(cell)
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            handle.write("{}")
-        os.unlink(path)  # the entry dies, the sidecar is orphaned
-        assert list(store.orphan_sidecars()) == [sidecar]
-        assert store.prune(stage="syn_series") == 1  # selector matches nothing
-        assert not os.path.exists(sidecar)
-        assert list(store.orphan_sidecars()) == []
-
-    def test_prune_keeps_sidecars_of_live_entries(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
-        store.save(run_cell(cell))
-        sidecar = store.trace_path_for(cell)
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            handle.write("{}")
-        assert store.prune(stage="syn_series") == 0
-        assert os.path.exists(sidecar)  # its entry is alive and unselected
-        assert store.prune(stage="idle") == 1
-        assert not os.path.exists(sidecar)  # died with its entry
-
-    def test_prune_orphan_sweep_honors_ttl(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        cell = CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)
-        path = store.save(run_cell(cell))
-        sidecar = store.trace_path_for(cell)
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            handle.write("{}")
-        os.unlink(path)
-        assert store.prune(older_than=3600.0) == 0  # fresh orphan survives a TTL pass
-        assert os.path.exists(sidecar)
-        aged = os.stat(sidecar).st_mtime - 7200.0
-        os.utime(sidecar, (aged, aged))
-        assert store.prune(older_than=3600.0) == 1
-        assert not os.path.exists(sidecar)
 
     def test_prune_all_clears_leftover_claim_files(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -323,6 +345,85 @@ class TestResultStoreRoundTrip:
         store.save(run_cell(CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)))
         assert store.prune() == 1
         assert sorted(os.listdir(claims)) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class Inner:
+    kind: FileKind
+    spans: Tuple[float, int]
+
+
+@dataclasses.dataclass
+class Outer:
+    per_count: Dict[int, Dict[str, float]]
+    inners: List[Inner]
+    maybe: Optional[Inner]
+    absent: Optional[int]
+
+
+class TestPayloadCodec:
+    def test_round_trip_keeps_types_keys_and_order(self):
+        value = Outer(
+            per_count={10: {"b": 2.5, "a": 1.0}, 1: {}},
+            inners=[Inner(FileKind.TEXT, (0.5, 3))],
+            maybe=Inner(FileKind.FAKE_JPEG, (1.0, 0)),
+            absent=None,
+        )
+        encoded = json.loads(json.dumps(to_json(value, Outer), sort_keys=True))
+        decoded = from_json(encoded, Outer)
+        assert decoded == value
+        assert list(decoded.per_count) == [10, 1]
+        assert list(decoded.per_count[10]) == ["b", "a"]
+        assert isinstance(decoded.inners[0].kind, FileKind) and decoded.inners[0].spans == (0.5, 3)
+
+    def test_shape_mismatch_raises(self):
+        for data, hint in (
+            ({"value": 1}, CampaignCell),
+            ("text", List[int]),
+            ([1, 2, 3], Tuple[int, int]),
+            ("no_such_kind", FileKind),
+        ):
+            with pytest.raises((TypeError, ValueError)):
+                from_json(data, hint)
+
+    @pytest.mark.parametrize(
+        "stage, unit",
+        [("idle", "-"), ("datacenters", "-"), ("delta", "append"), ("performance", "1x100kB"), ("load", "1k")],
+    )
+    def test_stage_payloads_round_trip(self, tmp_path, stage, unit):
+        store = ResultStore(str(tmp_path))
+        cell = CampaignCell(stage=stage, service="dropbox", seed=5, unit=unit, config=CONFIG)
+        computed = run_cell(cell)
+        store.save(computed)
+        loaded = store.load(cell)
+        assert loaded is not None and loaded.payload == computed.payload
+        assert loaded.rows() == computed.rows()
+
+
+#: One small cell's store record, pinned byte for byte.  Regenerate after a
+#: deliberate layout change (and STORE_SCHEMA_VERSION bump) by saving
+#: ``run_cell(GOLDEN_CELL)`` with ``wall_seconds=GOLDEN_WALL_SECONDS`` and
+#: copying the written file over this one.
+GOLDEN_RECORD = os.path.join(os.path.dirname(__file__), "data", "golden_store_record.json")
+GOLDEN_CELL = CampaignCell(stage="syn_series", service="googledrive", seed=5, config=CONFIG)
+GOLDEN_WALL_SECONDS = 1.5
+
+
+class TestGoldenRecord:
+    def test_save_reproduces_golden_bytes(self, tmp_path):
+        computed = dataclasses.replace(run_cell(GOLDEN_CELL), wall_seconds=GOLDEN_WALL_SECONDS)
+        path = ResultStore(str(tmp_path)).save(computed)
+        with open(path, "rb") as produced, open(GOLDEN_RECORD, "rb") as golden:
+            assert produced.read() == golden.read()
+
+    def test_golden_record_loads_to_fresh_rows(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        path = store.path_for(GOLDEN_CELL)
+        os.makedirs(os.path.dirname(path))
+        shutil.copyfile(GOLDEN_RECORD, path)
+        loaded = store.load(GOLDEN_CELL)
+        assert loaded is not None and loaded.wall_seconds == GOLDEN_WALL_SECONDS
+        assert loaded.rows() == run_cell(GOLDEN_CELL).rows()
 
 
 class TestCampaignCaching:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.filegen.binary import generate_binary
 from repro.filegen.jpeg import generate_fake_jpeg, generate_image
 from repro.filegen.text import generate_text
+from repro.sync import compression
 from repro.sync.bundling import BUNDLE_OVERHEAD_BYTES, ENTRY_OVERHEAD_BYTES, BundleBuilder, BundleEntry
 from repro.sync.compression import CompressionPolicy, Compressor, looks_compressed
 from repro.sync.encryption import ENCRYPTION_HEADER_BYTES, ConvergentEncryptor
@@ -58,6 +61,34 @@ class TestCompression:
         assert len(compressor.compress(text)) < len(text)
         binary = generate_binary(10_000).content
         assert compressor.compress(binary) == binary
+
+    @pytest.mark.parametrize(
+        "policy, make, zlib_calls",
+        [
+            (CompressionPolicy.ALWAYS, generate_text, 1),
+            (CompressionPolicy.ALWAYS, generate_binary, 1),
+            (CompressionPolicy.SMART, generate_fake_jpeg, 0),
+            (CompressionPolicy.NEVER, generate_text, 0),
+        ],
+        ids=["always-text", "always-binary", "smart-fake-jpeg", "never-text"],
+    )
+    def test_compress_runs_zlib_at_most_once(self, monkeypatch, policy, make, zlib_calls):
+        calls = []
+
+        class CountingZlib:
+            @staticmethod
+            def compress(payload, *args):
+                calls.append(len(payload))
+                return zlib.compress(payload, *args)
+
+        monkeypatch.setattr(compression, "zlib", CountingZlib)
+        data = make(20_000).content
+        compressor = Compressor(policy)
+        sent = compressor.compress(data)
+        assert len(calls) == zlib_calls
+        result = compressor.process(data)  # the same decision as compress()
+        assert len(sent) == result.transmitted_size
+        assert (sent != data) == result.compressed
 
 
 class TestBundling:
