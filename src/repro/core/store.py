@@ -36,7 +36,8 @@ follows a single rule:
 
 Files not ending in ``.json`` (such as the ``.pkl`` entries of stores
 written before records were JSON, or in-flight ``.tmp`` files) are not
-entries at all.
+entries at all; only ``cloudbench cache rm --all`` removes the ``.pkl``
+ones.
 
 The store is also the substrate for cross-machine sharding
 (:mod:`repro.dist`): any number of runners pointed at a shared directory
@@ -59,7 +60,7 @@ import os
 import re
 import tempfile
 import typing
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
 
 from repro import wallclock
 from repro.errors import ConfigurationError
@@ -365,10 +366,14 @@ class ResultStore:
 
     def entries(self) -> Iterator[str]:
         """Paths of every record file (``*.json``) currently in the store."""
+        return self._files((".json",))
+
+    def _files(self, suffixes: Tuple[str, ...]) -> Iterator[str]:
+        """Paths of the store's files ending in one of ``suffixes``, sorted."""
         for dirpath, dirnames, filenames in os.walk(self.root):
             dirnames[:] = sorted(name for name in dirnames if name != ".claims")
             for filename in sorted(filenames):
-                if filename.endswith(".json"):
+                if filename.endswith(suffixes):
                     yield os.path.join(dirpath, filename)
 
     def records(self) -> Iterator[dict]:
@@ -405,12 +410,14 @@ class ResultStore:
         ``older_than``.
 
         With no selector at all every record file is removed (``cloudbench
-        cache rm --all``) — including foreign-schema records — along with
-        any leftover work-stealing claim files.
+        cache rm --all``) — including foreign-schema records and the
+        ``.pkl`` records of stores written before schema 5, but not
+        in-flight ``.tmp`` files — along with any leftover work-stealing
+        claim files.
         """
         removed = 0
         wipe_all = stage is None and service is None and older_than is None and not schema_foreign
-        paths = list(self.entries())
+        paths = list(self._files((".json", ".pkl") if wipe_all else (".json",)))
         if older_than is not None:
             cutoff = wallclock.now() - older_than
             aged = []

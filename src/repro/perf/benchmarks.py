@@ -2,8 +2,9 @@
 
 Micro-benchmarks exercise exactly the paths the columnar rework targets —
 batched packet emission into the sniffer, trace query filters, memoized
-TCP transfer math, the event queue's schedule/cancel/poll pattern — and
-one macro-benchmark runs the default campaign grid end to end.
+TCP transfer math, the event queue's schedule/cancel/poll pattern — plus
+the population engine and the delta codec, and one macro-benchmark runs
+the default campaign grid end to end.
 
 Every workload is a pure function of its parameters (fixed endpoints,
 fixed sizes, fixed seed), so two runs measure the *same* computation and
@@ -262,6 +263,41 @@ def bench_load(sessions: int, repeats: int) -> BenchmarkResult:
     )
 
 
+def bench_delta(chunk_bytes: int, insert_bytes: int, repeats: int) -> BenchmarkResult:
+    """Chunk MB/s through ``compute_signature`` plus ``compute_delta``.
+
+    The paper's delta edit on one Dropbox-sized chunk: a random chunk, and
+    the same chunk with ``insert_bytes`` of new data inserted a quarter of
+    the way in and its end cut to keep the size (the later bytes spill
+    into the next chunk).
+    """
+    from repro.filegen.binary import generate_binary
+    from repro.sync.delta import DEFAULT_BLOCK_SIZE, DeltaCodec
+
+    old = generate_binary(chunk_bytes, seed=DEFAULT_SEED).content
+    insert = generate_binary(insert_bytes, seed=DEFAULT_SEED + 1).content
+    at = chunk_bytes // 4
+    new = (old[:at] + insert + old[at:])[:chunk_bytes]
+
+    def make_workload():
+        codec = DeltaCodec()
+
+        def workload() -> None:
+            codec.compute_delta(new, codec.compute_signature(old))
+
+        return workload
+
+    measured = measure_rate(make_workload, chunk_bytes / 1e6, repeats)
+    return BenchmarkResult(
+        name="delta_mb_per_s",
+        unit="MB/s",
+        higher_is_better=True,
+        params={"chunk_bytes": chunk_bytes, "insert_bytes": insert_bytes, "block_size": DEFAULT_BLOCK_SIZE},
+        value=round(measured.best, 3),
+        samples=tuple(round(sample, 3) for sample in measured.samples),
+    )
+
+
 def bench_campaign(
     *,
     services: Sequence[str],
@@ -353,6 +389,7 @@ def run_benchmarks(
         bench_transfers(2_000, repeats),
         bench_events(100_000, repeats),
         bench_load(20_000, repeats),
+        bench_delta(4 * 1024 * 1024, 100_000, repeats),
     ]
     if quick:
         # Two services and one repetition: the macro path end to end in a

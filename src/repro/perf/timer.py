@@ -26,7 +26,7 @@ class RateMeasurement:
     seconds: Tuple[float, ...]
 
 
-def measure_rate(make_workload: Callable[[], Callable[[], object]], units: int, repeats: int) -> RateMeasurement:
+def measure_rate(make_workload: Callable[[], Callable[[], object]], units: float, repeats: int) -> RateMeasurement:
     """Time ``repeats`` fresh executions of a workload processing ``units`` items.
 
     ``make_workload`` builds the workload from scratch each repeat (so no

@@ -15,7 +15,8 @@ The codec implements the classic rsync algorithm:
   else becomes ``LITERAL`` data.
 
 The rolling-checksum scan is vectorised with numpy so multi-megabyte files
-remain fast to process.
+remain fast to process, and runs over fixed spans of window starts so its
+memory stays bounded by the span, not by the file.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ __all__ = ["DeltaOpKind", "DeltaOp", "Delta", "FileSignature", "DeltaCodec"]
 DEFAULT_BLOCK_SIZE = 16 * 1024
 
 _ADLER_MOD = 1 << 16
+
+#: Window start positions per rolling-scan span.  Each span's temporaries
+#: are a handful of uint32 arrays of ``_SCAN_SPAN + block_size`` entries
+#: (~1 MiB each), whatever the revision's size.
+_SCAN_SPAN = 1 << 18
 
 
 class DeltaOpKind(str, enum.Enum):
@@ -123,33 +129,29 @@ def _strong_hash(block: bytes) -> str:
     return hashlib.sha256(block).hexdigest()[:32]
 
 
-def _rolling_weak_checksums(data: np.ndarray, block_size: int) -> np.ndarray:
-    """Weak checksums for every window of ``block_size`` bytes in ``data``.
+def _span_weak_checksums(data: np.ndarray, block_size: int, start: int, stop: int) -> np.ndarray:
+    """Weak checksums of the ``block_size`` windows starting at ``start..stop-1``.
 
-    Returns an array of length ``len(data) - block_size + 1`` where entry
-    ``k`` is the checksum of ``data[k:k+block_size]``.
+    Entry ``j`` is the checksum of ``data[start + j:start + j + block_size]``.
+    Only ``data[start:stop + block_size - 1]`` is read, so every temporary
+    is sized by the span, not by the revision.
     """
-    length = data.size
     window = block_size
-    count = length - window + 1
-    if count <= 0:
-        return np.empty(0, dtype=np.uint32)
+    count = stop - start
+    values = data[start:stop + window - 1].astype(np.uint32)
     # All arithmetic runs in uint32: every intermediate is only ever needed
     # modulo _ADLER_MOD (2**16), which divides 2**32, so the natural wrap of
-    # 32-bit cumsums/products leaves the final residues exact — and halving
-    # the element width halves the memory traffic of the cumsum pass, which
-    # dominates this function for multi-megabyte revisions.
-    values = data.astype(np.uint32)
-    zero = np.zeros(1, dtype=np.uint32)
-    prefix = np.concatenate((zero, np.cumsum(values, dtype=np.uint32)))
-    weighted = np.concatenate(
-        (zero, np.cumsum(values * np.arange(length, dtype=np.uint32), dtype=np.uint32))
-    )
-    window_sums = prefix[window:window + count] - prefix[:count]
-    window_weighted = weighted[window:window + count] - weighted[:count]
+    # 32-bit cumsums/products leaves the final residues exact.  Weights are
+    # global byte indices, so b(k) below uses the global start k.
+    prefix = np.zeros(values.size + 1, dtype=np.uint32)
+    np.cumsum(values, dtype=np.uint32, out=prefix[1:])
+    window_sums = prefix[window:] - prefix[:count]
+    values *= np.arange(start, start + values.size, dtype=np.uint32)
+    np.cumsum(values, dtype=np.uint32, out=prefix[1:])
+    window_weighted = prefix[window:] - prefix[:count]
     # b(k) = sum_{i=k}^{k+L-1} (L - (i - k)) * data[i]
-    #      = (L + k) * window_sum - window_weighted
-    ends = np.arange(window, window + count, dtype=np.uint32)
+    #      = (L + k) * window_sum - sum_{i=k}^{k+L-1} i * data[i]
+    ends = np.arange(start + window, stop + window, dtype=np.uint32)
     b = (ends * window_sums - window_weighted) % np.uint32(_ADLER_MOD)
     a = window_sums % np.uint32(_ADLER_MOD)
     return (b << np.uint32(16)) | a
@@ -194,26 +196,32 @@ class DeltaCodec:
             strong_by_weak.setdefault(weak, []).append((index, strong))
 
         data = np.frombuffer(new, dtype=np.uint8)
-        weak_all = _rolling_weak_checksums(data, block_size)
         known_weak = np.fromiter(strong_by_weak.keys(), dtype=np.uint32, count=len(strong_by_weak))
         # Membership test for every rolling checksum against the (small)
-        # signature set.  np.isin sorts the multi-megabyte rolling array and
-        # dominated the delta profile; instead, prefilter on the checksum's
-        # low 16 bits through a 64K lookup table — for random content ~1% of
-        # windows survive — then confirm survivors by binary search against
-        # the sorted signature values.  The resulting positions are
-        # identical to what the full membership test produces.
+        # signature set: prefilter on the checksum's low 16 bits through a
+        # 64K lookup table — for random content ~1% of windows survive —
+        # then confirm survivors by binary search against the sorted
+        # signature values.  The scan runs span by span and keeps only the
+        # confirmed positions and their checksums, so its memory is
+        # O(_SCAN_SPAN + candidates) whatever the revision's size.
         known_weak.sort()
         low_table = np.zeros(_ADLER_MOD, dtype=bool)
         low_table[known_weak & np.uint32(0xFFFF)] = True
-        rough_positions = np.nonzero(low_table[weak_all & np.uint32(0xFFFF)])[0]
-        if rough_positions.size:
-            rough_values = weak_all[rough_positions]
-            nearest = np.searchsorted(known_weak, rough_values)
-            nearest[nearest == known_weak.size] = known_weak.size - 1
-            candidate_positions = rough_positions[known_weak[nearest] == rough_values]
-        else:
-            candidate_positions = rough_positions
+        position_parts = [np.empty(0, dtype=np.intp)]
+        weak_parts = [np.empty(0, dtype=np.uint32)]
+        starts = len(new) - block_size + 1
+        for start in range(0, starts, _SCAN_SPAN):
+            weak = _span_weak_checksums(data, block_size, start, min(start + _SCAN_SPAN, starts))
+            rough = np.nonzero(low_table[weak & np.uint32(0xFFFF)])[0]
+            if rough.size:
+                rough_values = weak[rough]
+                nearest = np.searchsorted(known_weak, rough_values)
+                nearest[nearest == known_weak.size] = known_weak.size - 1
+                confirmed = known_weak[nearest] == rough_values
+                position_parts.append(rough[confirmed] + start)
+                weak_parts.append(rough_values[confirmed])
+        candidate_positions = np.concatenate(position_parts)
+        candidate_weak = np.concatenate(weak_parts)
 
         ops: List[DeltaOp] = []
         literal_start = 0
@@ -225,7 +233,7 @@ class DeltaCodec:
                 ops.append(DeltaOp(kind=DeltaOpKind.LITERAL, data=new[literal_start:end]))
 
         while position <= max_full_window:
-            match_index = self._match_at(new, position, weak_all, strong_by_weak)
+            match_index = self._match_at(new, position, candidate_positions, candidate_weak, strong_by_weak)
             if match_index is not None:
                 flush_literal(position)
                 ops.append(DeltaOp(kind=DeltaOpKind.COPY, block_index=match_index))
@@ -258,14 +266,19 @@ class DeltaCodec:
         self,
         new: bytes,
         position: int,
-        weak_all: np.ndarray,
+        candidate_positions: np.ndarray,
+        candidate_weak: np.ndarray,
         strong_by_weak: Dict[int, List[Tuple[int, str]]],
     ) -> Optional[int]:
-        """Return the old-block index matching ``new`` at ``position``, if any."""
-        weak = int(weak_all[position])
-        candidates = strong_by_weak.get(weak)
-        if not candidates:
+        """Return the old-block index matching ``new`` at ``position``, if any.
+
+        Only positions among the scan's confirmed candidates can match; a
+        candidate's weak checksum is known to be in ``strong_by_weak``.
+        """
+        slot = int(np.searchsorted(candidate_positions, position))
+        if slot == candidate_positions.size or candidate_positions[slot] != position:
             return None
+        candidates = strong_by_weak[int(candidate_weak[slot])]
         strong = _strong_hash(new[position:position + self.block_size])
         for index, candidate_strong in candidates:
             if candidate_strong == strong:

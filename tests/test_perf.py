@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -56,6 +57,7 @@ class TestBenchmarkDocument:
             "tcp_transfers_per_s",
             "event_queue_events_per_s",
             "load_sessions_per_s",
+            "delta_mb_per_s",
         }
         for entry in metrics.values():
             assert set(entry) == {"unit", "higher_is_better", "params", "value", "samples", "repeats"}
@@ -222,6 +224,15 @@ class TestBenchCli:
         assert metric.unit == "segments/s"
         assert metric.higher_is_better
         assert metric.value > 0
+
+    def test_committed_baseline_gates_the_delta_micro(self):
+        # CI's `bench --quick --compare BENCH_netsim.json` judges only
+        # metrics whose params match the committed full-suite baseline.
+        quick = {result.name: result for result in run_benchmarks(**TINY)}["delta_mb_per_s"]
+        baseline = load_document(os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_netsim.json"))
+        entry = baseline["metrics"]["delta_mb_per_s"]
+        assert entry["params"] == quick.params
+        assert entry["unit"] == "MB/s" and entry["higher_is_better"]
 
     def test_compare_skips_full_baseline_for_quick_run(self, tmp_path):
         # A full-suite baseline has different workload params: a quick run

@@ -209,8 +209,26 @@ class TestResultStoreRoundTrip:
             with open(leftover, "wb") as handle:
                 handle.write(b"\x80")
         assert list(store.entries()) == [path]
-        assert store.prune() == 1
-        assert os.path.exists(stem + ".pkl")  # this version ignores pickles entirely
+        assert len(store) == 1
+        assert store.load(CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)) is not None
+
+    def test_prune_all_removes_pickle_era_files_but_not_temp_files(self, tmp_path):
+        # `cache rm --all` is the store's only GC, so it must also clear the
+        # records of stores written before schema 5; an in-flight `.tmp`
+        # belongs to a concurrent save and stays.
+        store = ResultStore(str(tmp_path))
+        path = store.save(run_cell(CampaignCell(stage="idle", service="dropbox", seed=5, config=CONFIG)))
+        stem = path[: -len(".json")]
+        for leftover in (stem + ".pkl", stem + ".tmp", os.path.join(str(tmp_path), "delta", "dropbox.0.0123.pkl")):
+            os.makedirs(os.path.dirname(leftover), exist_ok=True)
+            with open(leftover, "wb") as handle:
+                handle.write(b"\x80")
+        assert store.prune(stage="idle") == 1  # selectors never read pickles
+        assert os.path.exists(stem + ".pkl")
+        assert store.prune() == 2
+        assert not os.path.exists(stem + ".pkl")
+        assert not os.path.exists(os.path.join(str(tmp_path), "delta", "dropbox.0.0123.pkl"))
+        assert os.path.exists(stem + ".tmp")
 
     def test_save_records_runner_provenance(self, tmp_path):
         store = ResultStore(str(tmp_path), runner="machine-7")
