@@ -38,8 +38,8 @@ def count_tcp_syns(trace: PacketTrace, *, outgoing_only: bool = True) -> int:
     i.e. SYN/ACKs from servers are excluded — this matches counting the
     connections the client opens (Fig. 3).
 
-    Handshake packets are never elided, so this reads the segment-level
-    columns: flow-segment rows carry ACK|PSH and simply never match.
+    Handshake packets are always plain packet rows, so this reads the
+    segment-level columns: flow-segment rows carry ACK|PSH and never match.
     """
     columns = trace.segment_columns()
     syn = TCPFlags.SYN
@@ -251,7 +251,7 @@ def classify_hosts(
 
     Flow-segment rows carry their range's exact aggregate payload bytes, so
     the per-host totals come straight off the segment-level columns without
-    materializing bulk packets.
+    expanding any burst.
     """
     columns = trace.segment_columns()
     totals: Dict[str, int] = {}

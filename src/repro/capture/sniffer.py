@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.netsim.packet import FlowSegment, Packet, PacketBatch
+from repro.netsim.packet import FlowSegment, Packet
 from repro.netsim.simulator import NetworkSimulator
 from repro.capture.trace import PacketTrace
 
@@ -28,17 +28,12 @@ class Sniffer:
             simulator.add_sniffer(self)
 
     def __call__(self, packet: Packet) -> None:
-        """Sniffer callback invoked by the simulator for each packet."""
+        """Packet callback: record one control packet."""
         if self._capturing:
             self.trace.append(packet)
 
-    def accept_batch(self, batch: PacketBatch) -> None:
-        """Batch callback: record a whole emission burst column-wise."""
-        if self._capturing:
-            self.trace.extend_batch(batch)
-
     def accept_flow(self, segment: FlowSegment) -> None:
-        """Flow callback: record an elided bulk-transfer segment whole."""
+        """Flow callback: record one data burst as a single trace row."""
         if self._capturing:
             self.trace.extend_flow(segment)
 

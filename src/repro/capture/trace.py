@@ -2,10 +2,10 @@
 
 The trace is stored *columnar* (struct-of-arrays): one list per packet
 field, kept in capture order and lazily re-ordered by timestamp when a
-time-sensitive accessor needs it.  The public API is unchanged from the
-row-oriented original — ``packets``, ``__iter__`` and ``__getitem__``
-materialize :class:`~repro.netsim.packet.Packet` views on demand (and
-cache them), while filters and aggregates work directly on the columns:
+time-sensitive accessor needs it.  ``packets``, ``__iter__`` and
+``__getitem__`` materialize :class:`~repro.netsim.packet.Packet` views on
+demand (and cache them), while filters and aggregates work directly on the
+columns:
 
 * ``between``/``after`` bisect the sorted timestamp column instead of
   scanning every packet;
@@ -13,40 +13,39 @@ cache them), while filters and aggregates work directly on the columns:
   per-hostname index maps;
 * byte/payload totals are column sums that never build a ``Packet``.
 
-Sniffers append whole emission bursts at once via :meth:`extend_batch`,
-which extends each column with one C-level call per field.
+Control packets (handshakes, FINs, ACK aggregates) arrive one at a time
+via :meth:`PacketTrace.append`.
 
 Flow segments
 -------------
 
-Elided bulk transfers arrive via :meth:`extend_flow` as
-:class:`~repro.netsim.packet.FlowSegment` records.  A segment occupies a
-*single row* of the columns — its timestamp is the first elided record's,
-its payload/header cells hold the exact aggregate totals of the whole
-range — plus an entry in the parallel ``_seg`` column.  Row-preserving
-filters (``to_hosts``, ``for_connection``, ``outgoing`` …) and byte
-aggregates therefore work on elided traces without ever expanding them;
-window filters (``between``/``after``) narrow straddling segments with
-:meth:`FlowSegment.subrange` and stay elided too.
+Every data burst arrives via :meth:`PacketTrace.extend_flow` as one
+:class:`~repro.netsim.packet.FlowSegment`.  A segment occupies a *single
+row* of the columns — its timestamp is its first record's, its
+payload/header cells hold the exact aggregate totals of its records — plus
+an entry in the parallel ``_seg`` column.  Row-preserving filters
+(``to_hosts``, ``for_connection``, ``outgoing`` …) and byte aggregates
+therefore work without expanding bursts; window filters
+(``between``/``after``) narrow straddling segments with
+:meth:`FlowSegment.subrange` and keep them as segments too.
 
 Per-packet accessors (``packets``, iteration, ``filter``,
-``sorted_columns``) call :meth:`_materialize`, which expands every
-segment with the canonical burst loop and re-sorts by ``(timestamp,
+``sorted_columns``) call :meth:`PacketTrace._materialize`, which expands
+every segment with the canonical burst loop and re-sorts by ``(timestamp,
 capture ordinal)``.  Each row carries a capture ordinal; a segment row
-reserves one ordinal per elided record, so the materialized order is
-provably identical to what eager per-record emission would have captured
-— bit-exact timestamps, sizes and addresses (see
-``tests/test_properties.py``).
+reserves one ordinal per record, so the materialized order is the one a
+per-record capture would have produced — bit-exact timestamps, sizes and
+addresses (see ``tests/test_properties.py``).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
-from repro.netsim.packet import FlowSegment, Packet, PacketBatch, PacketDirection
+from repro.netsim.packet import FlowSegment, Packet, PacketDirection
 
 __all__ = ["PacketTrace", "TraceColumns"]
 
@@ -74,7 +73,7 @@ class TraceColumns(NamedTuple):
 
 
 def _first_record_at_or_after(segment: FlowSegment, timestamp: float) -> int:
-    """Smallest elided record index whose timestamp is ``>= timestamp``."""
+    """Smallest record index of ``segment`` whose timestamp is ``>= timestamp``."""
     lo, hi = segment.first_record, segment.last_record
     while lo < hi:
         mid = (lo + hi) // 2
@@ -86,7 +85,7 @@ def _first_record_at_or_after(segment: FlowSegment, timestamp: float) -> int:
 
 
 def _first_record_after(segment: FlowSegment, timestamp: float) -> int:
-    """Smallest elided record index whose timestamp is ``> timestamp``."""
+    """Smallest record index of ``segment`` whose timestamp is ``> timestamp``."""
     lo, hi = segment.first_record, segment.last_record
     while lo < hi:
         mid = (lo + hi) // 2
@@ -106,7 +105,8 @@ class PacketTrace:
     packets sharing a timestamp keep their capture order, exactly like the
     row-oriented implementation this replaces.  Capture order is tracked
     explicitly per row as an *ordinal* so that lazily expanded flow segments
-    sort into exactly the position their eager packets would have occupied.
+    sort into exactly the position their packets would have occupied had
+    each been captured on its own.
     """
 
     __slots__ = (
@@ -148,10 +148,10 @@ class PacketTrace:
         self._conn: List[int] = []
         self._host: List[str] = []
         self._note: List[str] = []
-        #: Parallel column of elided flow segments (``None`` for plain rows).
+        #: Parallel column of flow segments (``None`` for packet rows).
         self._seg: List[Optional[FlowSegment]] = []
         #: Capture ordinal of each row; segment rows reserve one ordinal per
-        #: elided record so expansion can restore the eager capture order.
+        #: record so expansion can restore the per-record capture order.
         self._ord: List[int] = []
         self._segn = 0
         self._seg_extra = 0
@@ -195,55 +195,30 @@ class PacketTrace:
         for packet in packets:
             self.append(packet)
 
-    def extend_batch(self, batch: PacketBatch) -> None:
-        """Append a column-oriented emission burst without building packets."""
-        count = len(batch)
-        if count == 0:
-            return
-        timestamps = batch.timestamps
-        if self._sorted:
-            if self._ts and timestamps[0] < self._ts[-1]:
-                self._sorted = False
-            else:
-                self._sorted = all(
-                    earlier <= later for earlier, later in zip(timestamps, islice(timestamps, 1, None))
-                )
-        self._ts.extend(timestamps)
-        self._payload.extend(batch.payload_lens)
-        self._headers.extend(batch.headers_lens)
-        self._src.extend(repeat(batch.src, count))
-        self._dst.extend(repeat(batch.dst, count))
-        self._sport.extend(repeat(batch.src_port, count))
-        self._dport.extend(repeat(batch.dst_port, count))
-        self._dir.extend(repeat(batch.direction, count))
-        self._flags.extend(repeat(batch.flags, count))
-        self._proto.extend(repeat(batch.protocol, count))
-        self._conn.extend(repeat(batch.connection_id, count))
-        self._host.extend(repeat(batch.hostname, count))
-        self._note.extend(repeat(batch.note, count))
-        self._seg.extend(repeat(None, count))
-        self._ord.extend(range(self._next_ord, self._next_ord + count))
-        self._next_ord += count
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
-
     def extend_flow(self, segment: FlowSegment) -> None:
-        """Append an elided bulk-transfer segment as a single trace row.
+        """Append one data burst as a single trace row.
 
-        The row's timestamp is the segment's first elided record's; the
-        payload/header cells hold the exact aggregate byte totals of the
-        whole elided range, so byte sums over the columns stay exact without
-        expansion.  The segment reserves one capture ordinal per elided
-        record, preserving the eager capture order for later expansion.
+        The row's timestamp is the segment's first record's; the
+        payload/header cells hold the exact aggregate byte totals of its
+        records, so byte sums over the columns stay exact without expansion.
+        The segment reserves one capture ordinal per record, preserving the
+        per-record capture order for later expansion.
         """
         count = segment.record_count
         if count == 0:
             return
-        first_ts = segment.first_timestamp
-        if self._sorted and self._ts and first_ts < self._ts[-1]:
+        self._append_segment_row(segment, self._next_ord)
+        self._next_ord += count
+        ts = self._ts
+        if self._sorted and len(ts) > 1 and ts[-1] < ts[-2]:
             self._sorted = False
-        self._ts.append(first_ts)
+        self._views = None
+        self._conn_index = None
+        self._host_index = None
+
+    def _append_segment_row(self, segment: FlowSegment, ordinal: int) -> None:
+        """Append ``segment`` as one row: its 13 columns, the segment and ``ordinal``."""
+        self._ts.append(segment.first_timestamp)
         self._src.append(segment.src)
         self._dst.append(segment.dst)
         self._sport.append(segment.src_port)
@@ -257,16 +232,12 @@ class PacketTrace:
         self._host.append(segment.hostname)
         self._note.append(segment.note)
         self._seg.append(segment)
-        self._ord.append(self._next_ord)
-        self._next_ord += count
+        self._ord.append(ordinal)
         self._segn += 1
-        self._seg_extra += count - 1
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
+        self._seg_extra += segment.record_count - 1
 
     def __len__(self) -> int:
-        """Logical packet count (elided segments count every record)."""
+        """Logical packet count (segments count every record)."""
         return len(self._ts) + self._seg_extra
 
     def __iter__(self) -> Iterator[Packet]:
@@ -333,20 +304,16 @@ class PacketTrace:
         """True when no packets were captured."""
         return not self._ts
 
-    def has_segments(self) -> bool:
-        """True while the trace still holds unexpanded flow segments."""
-        return self._segn > 0
-
     # ------------------------------------------------------------------ #
     # Columnar internals
     # ------------------------------------------------------------------ #
     def _materialize(self) -> None:
-        """Expand every flow segment into plain packet rows, in eager order.
+        """Expand every flow segment into plain packet rows, in capture order.
 
         Expansion reruns the canonical burst loop per segment (bit-identical
         floats and byte counts) and sorts all rows by ``(timestamp, capture
-        ordinal)`` — exactly the stable-by-timestamp order the eager
-        per-record emission would have produced.
+        ordinal)`` — exactly the stable-by-timestamp order of a per-record
+        capture.
         """
         if self._segn == 0:
             return
@@ -450,8 +417,8 @@ class PacketTrace:
     def sorted_columns(self) -> TraceColumns:
         """The trace as parallel per-packet columns, sorted by timestamp.
 
-        Forces flow-segment expansion: every elided record becomes its own
-        row, exactly as eager emission would have captured it.
+        Forces flow-segment expansion: every burst record becomes its own
+        row, in capture order.
         """
         self._materialize()
         self._ensure_sorted()
@@ -474,12 +441,12 @@ class PacketTrace:
     def segment_columns(self) -> TraceColumns:
         """The trace rows as columns *without* expanding flow segments.
 
-        Elided segments appear as one row each: the timestamp is the first
-        elided record's and the payload/header cells are the exact aggregate
+        Segments appear as one row each: the timestamp is the first
+        record's and the payload/header cells are the exact aggregate
         totals of the range.  Aggregate analyses (flag counts, per-host byte
-        sums, SYN series) read these columns so the default campaign never
-        materializes bulk packets.  Per-packet fields of an elided row
-        describe the range, not an individual packet — use
+        sums, SYN series) read these columns so they never expand a burst.
+        Per-packet fields of a segment row describe the range, not an
+        individual packet — use
         :meth:`sorted_columns` when record granularity matters.
         """
         self._ensure_sorted()
@@ -634,26 +601,6 @@ class PacketTrace:
         self._ensure_sorted()
         return self._select([index for index, packet in enumerate(self.packets) if predicate(packet)])
 
-    def _append_segment_row(self, trace: "PacketTrace", segment: FlowSegment, ordinal: int) -> None:
-        """Append ``segment`` to ``trace`` as one elided row."""
-        trace._ts.append(segment.first_timestamp)
-        trace._src.append(segment.src)
-        trace._dst.append(segment.dst)
-        trace._sport.append(segment.src_port)
-        trace._dport.append(segment.dst_port)
-        trace._dir.append(segment.direction)
-        trace._flags.append(segment.flags)
-        trace._payload.append(segment.payload_bytes)
-        trace._headers.append(segment.header_bytes)
-        trace._proto.append(segment.protocol)
-        trace._conn.append(segment.connection_id)
-        trace._host.append(segment.hostname)
-        trace._note.append(segment.note)
-        trace._seg.append(segment)
-        trace._ord.append(ordinal)
-        trace._segn += 1
-        trace._seg_extra += segment.record_count - 1
-
     def _copy_row(self, trace: "PacketTrace", pos: int) -> None:
         """Append row ``pos`` of this trace to ``trace`` unchanged."""
         trace._ts.append(self._ts[pos])
@@ -682,8 +629,8 @@ class PacketTrace:
         A segment row's column timestamp is its *first* record's, so plain
         bisection misses segments that start before the window but extend
         into it; those straddlers (and in-window segments reaching past the
-        end) are narrowed with :meth:`FlowSegment.subrange` — still elided,
-        with ordinals shifted so later expansion keeps the eager order.
+        end) are narrowed with :meth:`FlowSegment.subrange` — still one row,
+        with ordinals shifted so later expansion keeps the capture order.
         """
         self._ensure_sorted()
         lo = bisect_left(self._ts, start)
@@ -701,7 +648,7 @@ class PacketTrace:
             if last <= first:
                 continue
             shift = first - segment.first_record
-            self._append_segment_row(trace, segment.subrange(first, last), self._ord[pos] + shift)
+            trace._append_segment_row(segment.subrange(first, last), self._ord[pos] + shift)
             straddled = True
         for pos in range(lo, hi):
             segment = self._seg[pos]
@@ -711,7 +658,7 @@ class PacketTrace:
             last = _first_record_after(segment, end)
             if last <= segment.first_record:
                 continue
-            self._append_segment_row(trace, segment.subrange(segment.first_record, last), self._ord[pos])
+            trace._append_segment_row(segment.subrange(segment.first_record, last), self._ord[pos])
         trace._sorted = not straddled
         return trace
 

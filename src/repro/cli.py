@@ -114,6 +114,28 @@ from repro.units import minutes, parse_duration, parse_populations, parse_seeds,
 __all__ = ["main", "build_parser"]
 
 
+def _positive_count(text: str) -> int:
+    """argparse type of ``--repetitions`` and ``--resolvers``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _idle_minutes(text: str) -> float:
+    """argparse type of ``--minutes``: a finite number of minutes >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of minutes, got {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``cloudbench`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -179,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("capabilities", help="Table 1: capability matrix")
 
     idle = subparsers.add_parser("idle", help="Fig. 1: background traffic while idle")
-    idle.add_argument("--minutes", type=float, default=16.0, help="idle observation window (minutes)")
+    idle.add_argument("--minutes", type=_idle_minutes, default=16.0, help="idle observation window (minutes)")
 
     datacenters = subparsers.add_parser("datacenters", help="Fig. 2 / Sec. 3.2: front-end discovery")
-    datacenters.add_argument("--resolvers", type=int, default=500, help="number of open resolvers to fan out over")
+    datacenters.add_argument("--resolvers", type=_positive_count, default=500, help="number of open resolvers to fan out over")
 
     subparsers.add_parser("connections", help="Fig. 3: TCP connections for 100x10kB")
 
@@ -191,15 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("compression", help="Fig. 5: compression tests")
 
     performance = subparsers.add_parser("performance", help="Fig. 6: start-up, completion, overhead")
-    performance.add_argument("--repetitions", type=int, default=3, help="repetitions per (service, workload)")
+    performance.add_argument("--repetitions", type=_positive_count, default=3, help="repetitions per (service, workload)")
 
     def add_campaign_options(sub: argparse.ArgumentParser) -> None:
         # Shared by all/shard/merge: flags that define the campaign *plan*.
         # Workers and the merger must agree on these (and on --services /
         # --seed) or they address different store keys.
-        sub.add_argument("--repetitions", type=int, default=2, help="repetitions per (service, workload)")
-        sub.add_argument("--minutes", type=float, default=16.0, help="idle observation window (minutes)")
-        sub.add_argument("--resolvers", type=int, default=300, help="number of open resolvers to fan out over")
+        sub.add_argument("--repetitions", type=_positive_count, default=2, help="repetitions per (service, workload)")
+        sub.add_argument("--minutes", type=_idle_minutes, default=16.0, help="idle observation window (minutes)")
+        sub.add_argument("--resolvers", type=_positive_count, default=300, help="number of open resolvers to fan out over")
         sub.add_argument(
             "--stages",
             default=None,

@@ -1,16 +1,25 @@
-"""Packet records produced by the simulator and consumed by the sniffer."""
+"""Wire records produced by the simulator and consumed by the sniffer.
+
+Two record types cross the capture point:
+
+* :class:`Packet` — one control packet: a SYN, SYN-ACK, FIN or handshake
+  ACK, or the aggregated ACK record that runs against each data burst;
+* :class:`FlowSegment` — one whole data burst.  A burst's packet records
+  differ only in timestamp and byte counts, and both are pure functions of
+  the burst parameters, so the segment carries those parameters plus exact
+  byte totals and expands to its records only when a per-packet query asks.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "PacketDirection",
     "TCPFlags",
     "Packet",
-    "PacketBatch",
     "FlowSegment",
     "MSS",
     "TCP_IP_HEADER_BYTES",
@@ -28,8 +37,7 @@ TCP_IP_HEADER_BYTES = 40
 
 #: Cap on the number of data-packet records per transfer burst; larger
 #: transfers coalesce several MSS segments into one record while keeping
-#: byte accounting exact.  (Historically lived in ``netsim.tcp``; the burst
-#: math is shared with flow-segment expansion, so the constant lives here.)
+#: byte accounting exact.
 MAX_BURST_RECORDS = 2048
 
 
@@ -47,7 +55,7 @@ def burst_record_plan(nbytes: int) -> Tuple[int, int]:
 def burst_range_totals(nbytes: int, segments: int, records: int, first: int, last: int) -> Tuple[int, int, int]:
     """Closed-form ``(seg_count, payload_bytes, header_bytes)`` of burst records ``[first, last)``.
 
-    The canonical burst loop (see ``TCPConnection._emit_data``) walks record
+    The canonical burst loop (see :meth:`FlowSegment.expand_columns`) walks record
     boundaries ``int(round((index + 1) * segments / records))``; those
     telescope, so any contiguous record range's totals follow without the
     loop.  The per-record payload is ``seg_count * MSS`` except for the final
@@ -145,109 +153,19 @@ class Packet:
         return self.payload_len > 0
 
 
-class PacketBatch:
-    """A struct-of-arrays batch of packets sharing one connection's constants.
-
-    A data transfer emits up to 2048 records that differ only in timestamp,
-    payload and header bytes; every other field (addresses, ports, direction,
-    flags, connection id, hostname, note) is invariant across the burst.  A
-    batch carries the three varying columns plus the shared scalars, so the
-    emission hot path never constructs per-record :class:`Packet` objects —
-    column-aware sniffers append the columns directly, and only legacy
-    per-packet callbacks pay for materialization via :meth:`packets`.
-    """
-
-    __slots__ = (
-        "timestamps",
-        "payload_lens",
-        "headers_lens",
-        "src",
-        "dst",
-        "src_port",
-        "dst_port",
-        "direction",
-        "flags",
-        "protocol",
-        "connection_id",
-        "hostname",
-        "note",
-    )
-
-    def __init__(
-        self,
-        timestamps: Sequence[float],
-        payload_lens: Sequence[int],
-        headers_lens: Sequence[int],
-        *,
-        src: str,
-        dst: str,
-        src_port: int,
-        dst_port: int,
-        direction: PacketDirection,
-        flags: TCPFlags = TCPFlags.NONE,
-        protocol: str = "TCP",
-        connection_id: int = 0,
-        hostname: str = "",
-        note: str = "",
-    ) -> None:
-        if not (len(timestamps) == len(payload_lens) == len(headers_lens)):
-            raise ValueError("PacketBatch columns must have equal length")
-        self.timestamps = timestamps
-        self.payload_lens = payload_lens
-        self.headers_lens = headers_lens
-        self.src = src
-        self.dst = dst
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.direction = direction
-        self.flags = flags
-        self.protocol = protocol
-        self.connection_id = connection_id
-        self.hostname = hostname
-        self.note = note
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def packets(self) -> List[Packet]:
-        """Materialize the batch as :class:`Packet` records (slow fallback)."""
-        return [
-            Packet(
-                timestamp=timestamp,
-                src=self.src,
-                dst=self.dst,
-                src_port=self.src_port,
-                dst_port=self.dst_port,
-                direction=self.direction,
-                flags=self.flags,
-                payload_len=payload_len,
-                headers_len=headers_len,
-                protocol=self.protocol,
-                connection_id=self.connection_id,
-                hostname=self.hostname,
-                note=self.note,
-            )
-            for timestamp, payload_len, headers_len in zip(
-                self.timestamps, self.payload_lens, self.headers_lens
-            )
-        ]
-
-
 @dataclass(frozen=True)
 class FlowSegment:
-    """A flow-level record standing in for an elided run of data packets.
+    """One data burst, or a contiguous record range of one, as a single record.
 
-    Steady-state burst records differ only in timestamp and byte counts, and
-    both are pure functions of the burst parameters — so instead of 2000+
-    packet records the emission fast path ships one segment carrying those
-    parameters plus exact aggregate byte totals.  Consumers that only need
-    aggregates (byte sums, first/last timestamps, per-host volumes) read the
-    segment directly; per-packet consumers call :meth:`expand_columns`,
-    which reruns the canonical burst loop and is bit-identical to the eager
-    per-record emission it elides.
+    ``TCPConnection._emit_data`` ships every data burst as one segment over
+    records ``[0, records)``, so its totals are ``nbytes`` of payload and
+    ``TCP_IP_HEADER_BYTES`` per MSS segment of headers.  Consumers that only
+    need aggregates (byte sums, first/last timestamps, per-host volumes)
+    read the segment directly; per-packet consumers call
+    :meth:`expand_columns`, which runs the canonical burst loop.
 
-    ``first_record``/``last_record`` delimit the elided half-open record
-    range of the burst; trace window filters narrow segments with
+    ``first_record``/``last_record`` delimit the half-open record range the
+    segment covers; trace window filters narrow segments with
     :meth:`subrange` instead of materializing packets.
     """
 
@@ -258,10 +176,10 @@ class FlowSegment:
     nbytes: int
     segments: int
     records: int
-    #: Half-open record range ``[first_record, last_record)`` this segment elides.
+    #: Half-open record range ``[first_record, last_record)`` this segment covers.
     first_record: int
     last_record: int
-    #: Exact aggregate byte totals of the elided range.
+    #: Exact aggregate byte totals of the covered range.
     payload_bytes: int
     header_bytes: int
     src: str
@@ -286,23 +204,18 @@ class FlowSegment:
 
     @property
     def first_timestamp(self) -> float:
-        """Timestamp of the segment's first elided record."""
+        """Timestamp of the segment's first record."""
         return self.record_timestamp(self.first_record)
 
     @property
     def last_timestamp(self) -> float:
-        """Timestamp of the segment's last elided record."""
+        """Timestamp of the segment's last record."""
         return self.record_timestamp(self.last_record - 1)
 
     @property
     def wire_bytes(self) -> int:
         """Total bytes on the wire (headers + payload) across the range."""
         return self.payload_bytes + self.header_bytes
-
-    def record_timestamps(self) -> List[float]:
-        """Timestamps of every elided record, in record order."""
-        start, span, records = self.start, self.span, self.records
-        return [start + span * (index + 1) / records for index in range(self.first_record, self.last_record)]
 
     def subrange(self, first: int, last: int) -> "FlowSegment":
         """The sub-segment covering records ``[first, last)`` of the burst."""
@@ -332,9 +245,12 @@ class FlowSegment:
     def expand_columns(self) -> Tuple[List[float], List[int], List[int]]:
         """Materialize ``(timestamps, payload_lens, headers_lens)`` of the range.
 
-        Reruns the canonical burst loop verbatim over the whole burst and
-        keeps the elided records, so every float and byte count is identical
-        to what the eager per-record emission would have produced.
+        This is the canonical burst loop: it defines a burst's packet
+        records.  Record ``index`` is stamped at ``start + span * (index +
+        1) / records`` and carries its share of whole MSS segments; the last
+        record carries what remains of ``nbytes``.  The loop walks the burst
+        from record 0 (boundaries depend on every earlier record) and keeps
+        the records in range.
         """
         segs_per_record = self.segments / self.records
         remaining = self.nbytes
@@ -344,7 +260,7 @@ class FlowSegment:
         timestamps: List[float] = []
         payloads: List[int] = []
         headers: List[int] = []
-        for index in range(records):
+        for index in range(last):
             next_boundary = int(round((index + 1) * segs_per_record))
             seg_count = max(next_boundary - boundary, 1)
             boundary = next_boundary
@@ -357,26 +273,3 @@ class FlowSegment:
                 payloads.append(payload)
                 headers.append(TCP_IP_HEADER_BYTES * seg_count)
         return timestamps, payloads, headers
-
-    def batch(self) -> PacketBatch:
-        """Materialize the elided range as a :class:`PacketBatch`."""
-        timestamps, payloads, headers = self.expand_columns()
-        return PacketBatch(
-            timestamps,
-            payloads,
-            headers,
-            src=self.src,
-            dst=self.dst,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            direction=self.direction,
-            flags=self.flags,
-            protocol=self.protocol,
-            connection_id=self.connection_id,
-            hostname=self.hostname,
-            note=self.note,
-        )
-
-    def packets(self) -> List[Packet]:
-        """Materialize the elided range as :class:`Packet` records."""
-        return self.batch().packets()

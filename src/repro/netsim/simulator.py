@@ -1,18 +1,30 @@
-"""The network simulator facade: clock, event queue, connections and sniffers."""
+"""The network simulator facade: clock, event queue, connections and sniffers.
+
+Wire records reach sniffers through two calls: :meth:`NetworkSimulator.emit`
+delivers one control :class:`~repro.netsim.packet.Packet` (handshake, FIN,
+ACK aggregate) and :meth:`NetworkSimulator.emit_flow` one data burst as a
+:class:`~repro.netsim.packet.FlowSegment`.  With a tracer active, the
+``netsim.packets`` and ``netsim.wire_bytes`` counters count packet records
+either way (a segment adds its record count), and ``netsim.flow_segments``
+counts data bursts.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.netsim.clock import SimClock
 from repro.netsim.endpoint import CLIENT_ENDPOINT, Endpoint
 from repro.netsim.events import EventQueue, ScheduledEvent
 from repro.netsim.link import NetworkPath
-from repro.netsim.packet import FlowSegment, Packet, PacketBatch
+from repro.netsim.packet import FlowSegment, Packet
 from repro.netsim.tcp import TCPConnection
 from repro.netsim.tls import TLSParameters
 from repro.obs.tracer import current_tracer
+
+if TYPE_CHECKING:
+    from repro.capture.sniffer import Sniffer
 
 __all__ = ["NetworkSimulator"]
 
@@ -35,7 +47,7 @@ class NetworkSimulator:
         self.tracer = current_tracer()
         self.trace_track = self.tracer.register_track("sim") if self.tracer.enabled else 0
         self.events = EventQueue(tracer=self.tracer)
-        self._sniffers: List[Callable[[Packet], None]] = []
+        self._sniffers: List["Sniffer"] = []
         self._next_connection_id = 1
         self._next_ephemeral_port = 49152
         self._dispatching_events = False
@@ -139,11 +151,11 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
     # Packet distribution
     # ------------------------------------------------------------------ #
-    def add_sniffer(self, sniffer: Callable[[Packet], None]) -> None:
-        """Register a callable that receives every emitted packet."""
+    def add_sniffer(self, sniffer: "Sniffer") -> None:
+        """Register a sniffer that receives every emitted packet and segment."""
         self._sniffers.append(sniffer)
 
-    def remove_sniffer(self, sniffer: Callable[[Packet], None]) -> None:
+    def remove_sniffer(self, sniffer: "Sniffer") -> None:
         """Unregister a previously added sniffer (no error if absent)."""
         try:
             self._sniffers.remove(sniffer)
@@ -151,60 +163,18 @@ class NetworkSimulator:
             pass
 
     def emit(self, packet: Packet) -> None:
-        """Deliver ``packet`` to every registered sniffer."""
+        """Deliver a control ``packet`` to every registered sniffer."""
         if self.tracer.enabled:
             self.tracer.count("netsim.packets")
             self.tracer.count("netsim.wire_bytes", packet.wire_len)
         for sniffer in self._sniffers:
             sniffer(packet)
 
-    def emit_batch(self, batch: PacketBatch) -> None:
-        """Deliver a column-oriented emission burst to every sniffer.
-
-        Column-aware sniffers (anything exposing ``accept_batch``, like
-        :class:`~repro.capture.sniffer.Sniffer`) receive the batch whole;
-        plain per-packet callables get the burst materialized once and
-        replayed packet by packet, preserving the old observable order.
-        """
-        if self.tracer.enabled:
-            self.tracer.count("netsim.packets", len(batch.timestamps))
-            self.tracer.count(
-                "netsim.wire_bytes", sum(batch.payload_lens) + sum(batch.headers_lens)
-            )
-        materialized = None
-        for sniffer in self._sniffers:
-            accept = getattr(sniffer, "accept_batch", None)
-            if accept is not None:
-                accept(batch)
-            else:
-                if materialized is None:
-                    materialized = batch.packets()
-                for packet in materialized:
-                    sniffer(packet)
-
     def emit_flow(self, segment: FlowSegment) -> None:
-        """Deliver an elided flow segment whole to every sniffer.
-
-        Flow-aware sniffers (anything exposing ``accept_flow``) receive the
-        segment itself; batch-aware and plain per-packet sniffers get the
-        segment expanded once — the packet counter stays coherent either way
-        because it is derived from the segment's record count.
-        """
+        """Deliver a data burst, whole, to every registered sniffer."""
         if self.tracer.enabled:
             self.tracer.count("netsim.packets", segment.record_count)
-            self.tracer.count("netsim.wire_bytes", segment.payload_bytes + segment.header_bytes)
+            self.tracer.count("netsim.wire_bytes", segment.wire_bytes)
             self.tracer.count("netsim.flow_segments")
-        materialized = None
         for sniffer in self._sniffers:
-            accept = getattr(sniffer, "accept_flow", None)
-            if accept is not None:
-                accept(segment)
-                continue
-            accept_batch = getattr(sniffer, "accept_batch", None)
-            if accept_batch is not None:
-                accept_batch(segment.batch())
-                continue
-            if materialized is None:
-                materialized = segment.packets()
-            for packet in materialized:
-                sniffer(packet)
+            sniffer.accept_flow(segment)

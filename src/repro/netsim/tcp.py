@@ -11,9 +11,12 @@ paper's results:
 * TCP/IP header overhead of 40 bytes per segment plus ACK traffic,
 * request/response exchanges with a server processing delay.
 
-The connection emits :class:`~repro.netsim.packet.Packet` records through the
-owning :class:`~repro.netsim.simulator.NetworkSimulator`, which forwards them
-to sniffers.  All analysis downstream works on those packets only.
+The connection emits its wire records through the owning
+:class:`~repro.netsim.simulator.NetworkSimulator`, which forwards them to
+sniffers: handshake, FIN and ACK-aggregate packets as
+:class:`~repro.netsim.packet.Packet` rows, and every data burst as one
+:class:`~repro.netsim.packet.FlowSegment`.  All analysis downstream works on
+those records only.
 """
 
 from __future__ import annotations
@@ -27,15 +30,13 @@ from repro.errors import ConnectionStateError
 from repro.netsim.endpoint import Endpoint
 from repro.netsim.link import NetworkPath
 from repro.netsim.packet import (
-    MAX_BURST_RECORDS,
     MSS,
     TCP_IP_HEADER_BYTES,
     FlowSegment,
     Packet,
-    PacketBatch,
     PacketDirection,
     TCPFlags,
-    burst_range_totals,
+    burst_record_plan,
 )
 from repro.netsim.tls import TLSParameters
 
@@ -45,48 +46,10 @@ __all__ = [
     "TCPConnection",
     "INITIAL_CWND_BYTES",
     "slow_start_penalty",
-    "flow_elision_enabled",
-    "set_flow_elision",
 ]
 
 #: Initial congestion window (10 segments, per RFC 6928).
 INITIAL_CWND_BYTES = 10 * MSS
-
-#: Cap on the number of data-packet records emitted per transfer; larger
-#: transfers coalesce several segments into one record while keeping byte
-#: accounting exact.
-MAX_DATA_RECORDS_PER_TRANSFER = MAX_BURST_RECORDS
-
-#: Bursts with at least this many records elide their steady-state middle
-#: into one :class:`~repro.netsim.packet.FlowSegment`.  Smaller bursts —
-#: handshake flights, TLS records, short sends — stay packet-level.
-FLOW_ELISION_MIN_RECORDS = 24
-
-#: Slow-start head records kept packet-level at the front of an elided burst.
-_ELISION_HEAD_RECORDS = 4
-
-#: Process-wide fidelity switch: ``True`` (default) elides steady-state
-#: burst middles into flow segments, ``False`` restores eager per-record
-#: emission everywhere (full-fidelity traces).
-_FLOW_ELISION = True
-
-
-def flow_elision_enabled() -> bool:
-    """True while bulk transfers elide steady-state packets into flow segments."""
-    return _FLOW_ELISION
-
-
-def set_flow_elision(enabled: bool) -> bool:
-    """Toggle flow elision process-wide; returns the previous setting.
-
-    Both settings produce byte-identical analysis results — elided segments
-    expand deterministically on demand — so this only trades simulation
-    speed against packet-level traces being materialized up front.
-    """
-    global _FLOW_ELISION
-    previous = _FLOW_ELISION
-    _FLOW_ELISION = bool(enabled)
-    return previous
 
 #: Flags carried by every data-packet record.
 _DATA_FLAGS = TCPFlags.ACK | TCPFlags.PSH
@@ -187,8 +150,7 @@ class TCPConnection:
         self.local_port = local_port
         self.tls = tls
         # The 4-tuples are invariant for the life of the connection; hoisting
-        # them out of the per-record emission loops keeps the hot path free
-        # of repeated attribute chains.
+        # them keeps the emission path free of repeated attribute chains.
         self._addr_out = (local.ip, remote.ip, local_port, remote.port)
         self._addr_in = (remote.ip, local.ip, remote.port, local_port)
         self.state = TCPState.CLOSED
@@ -406,44 +368,29 @@ class TCPConnection:
         )
 
     def _emit_data(self, start: float, end: float, nbytes: int, direction: PacketDirection, *, note: str) -> None:
-        """Emit payload packets for ``nbytes`` spread between ``start`` and ``end``.
+        """Emit ``nbytes`` of payload spread between ``start`` and ``end`` as one burst.
 
-        The whole burst is built as one column-oriented
-        :class:`~repro.netsim.packet.PacketBatch` — per-record work is three
-        list appends; the invariant addresses, flags and labels ride once on
-        the batch instead of once per record.
+        The burst ships as one :class:`~repro.netsim.packet.FlowSegment`
+        over all of its records.  Its totals have a closed form — every
+        payload byte, plus one TCP/IP header per MSS segment — so emission
+        never walks the records; the trace expands them only when a
+        per-packet query asks.
         """
         if nbytes <= 0:
             return
-        segments = math.ceil(nbytes / MSS)
-        records = min(segments, MAX_DATA_RECORDS_PER_TRANSFER)
-        segs_per_record = segments / records
-        span = max(end - start, 0.0)
+        segments, records = burst_record_plan(nbytes)
         src, dst, sport, dport = self._addresses(direction)
-        if _FLOW_ELISION and records >= FLOW_ELISION_MIN_RECORDS:
-            self._emit_data_elided(start, span, nbytes, segments, records, segs_per_record, direction, note)
-            return
-        remaining = nbytes
-        timestamps = []
-        payloads = []
-        headers = []
-        boundary = 0
-        for index in range(records):
-            next_boundary = int(round((index + 1) * segs_per_record))
-            seg_count = max(next_boundary - boundary, 1)
-            boundary = next_boundary
-            payload = min(remaining, seg_count * MSS)
-            if payload <= 0:
-                break
-            remaining -= payload
-            timestamps.append(start + span * (index + 1) / records)
-            payloads.append(payload)
-            headers.append(TCP_IP_HEADER_BYTES * seg_count)
-        self._sim.emit_batch(
-            PacketBatch(
-                timestamps,
-                payloads,
-                headers,
+        self._sim.emit_flow(
+            FlowSegment(
+                start=start,
+                span=max(end - start, 0.0),
+                nbytes=nbytes,
+                segments=segments,
+                records=records,
+                first_record=0,
+                last_record=records,
+                payload_bytes=nbytes,
+                header_bytes=TCP_IP_HEADER_BYTES * segments,
                 src=src,
                 dst=dst,
                 src_port=sport,
@@ -453,84 +400,6 @@ class TCPConnection:
                 connection_id=self.connection_id,
                 hostname=self.remote.hostname,
                 note=note,
-            )
-        )
-
-    def _emit_data_elided(
-        self,
-        start: float,
-        span: float,
-        nbytes: int,
-        segments: int,
-        records: int,
-        segs_per_record: float,
-        direction: PacketDirection,
-        note: str,
-    ) -> None:
-        """Elided burst emission: packet-level head and tail, flow-segment middle.
-
-        The slow-start head (first records) and the tail record stay
-        packet-level for fidelity; the steady-state middle ships as one
-        :class:`~repro.netsim.packet.FlowSegment` whose aggregates come from
-        the closed-form boundary telescoping — the flow path never runs the
-        per-record loop, yet expansion reproduces it bit for bit.
-        """
-        src, dst, sport, dport = self._addresses(direction)
-        shared = dict(
-            src=src,
-            dst=dst,
-            src_port=sport,
-            dst_port=dport,
-            direction=direction,
-            flags=_DATA_FLAGS,
-            connection_id=self.connection_id,
-            hostname=self.remote.hostname,
-            note=note,
-        )
-        # Head records [0, _ELISION_HEAD_RECORDS): the canonical loop, verbatim.
-        remaining = nbytes
-        timestamps = []
-        payloads = []
-        headers = []
-        boundary = 0
-        for index in range(_ELISION_HEAD_RECORDS):
-            next_boundary = int(round((index + 1) * segs_per_record))
-            seg_count = max(next_boundary - boundary, 1)
-            boundary = next_boundary
-            payload = min(remaining, seg_count * MSS)
-            remaining -= payload
-            timestamps.append(start + span * (index + 1) / records)
-            payloads.append(payload)
-            headers.append(TCP_IP_HEADER_BYTES * seg_count)
-        self._sim.emit_batch(PacketBatch(timestamps, payloads, headers, **shared))
-        # Middle records [_ELISION_HEAD_RECORDS, records - 1): one flow segment.
-        last = records - 1
-        _, mid_payload, mid_headers = burst_range_totals(nbytes, segments, records, _ELISION_HEAD_RECORDS, last)
-        self._sim.emit_flow(
-            FlowSegment(
-                start=start,
-                span=span,
-                nbytes=nbytes,
-                segments=segments,
-                records=records,
-                first_record=_ELISION_HEAD_RECORDS,
-                last_record=last,
-                payload_bytes=mid_payload,
-                header_bytes=mid_headers,
-                **shared,
-            )
-        )
-        # Tail record [records - 1, records): the loop's final iteration.
-        tail_boundary = int(round(last * segs_per_record))
-        next_boundary = int(round(records * segs_per_record))
-        seg_count = max(next_boundary - tail_boundary, 1)
-        payload = min(remaining - mid_payload, seg_count * MSS)
-        self._sim.emit_batch(
-            PacketBatch(
-                [start + span * records / records],
-                [payload],
-                [TCP_IP_HEADER_BYTES * seg_count],
-                **shared,
             )
         )
 

@@ -1,7 +1,7 @@
 """Benchmark definitions: deterministic workloads over the engine's hot paths.
 
 Micro-benchmarks exercise exactly the paths the columnar rework targets —
-batched packet emission into the sniffer, trace query filters, memoized
+short and bulk data bursts into the sniffer, trace query filters, memoized
 TCP transfer math, the event queue's schedule/cancel/poll pattern — plus
 the population engine and the delta codec, and one macro-benchmark runs
 the default campaign grid end to end.
@@ -33,8 +33,8 @@ __all__ = ["BenchmarkResult", "default_benchmarks", "quick_benchmarks", "run_ben
 _SERVER = Endpoint(hostname="bench.storage.example.com", ip="192.0.2.10", port=443)
 #: Fixed path: 20 ms RTT, 50/100 Mbit/s — the paper's campus-like network.
 _PATH = NetworkPath(rtt=0.020, uplink_bps=mbps(50), downlink_bps=mbps(100))
-#: Data records per ``_emit_data`` call in the sniffer benchmark (one
-#: emission burst; the batched path turns it into a single column extend).
+#: Data records per bulk ``_emit_data`` call (one emission burst, one
+#: flow segment) in the flow-segment and trace-query benchmarks.
 _RECORDS_PER_BURST = 1000
 
 
@@ -64,10 +64,15 @@ def _bench_connection():
     return simulator, sniffer, connection
 
 
-def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
-    """Packets/second through emission and capture (the batched fast path)."""
-    bursts = max(1, packets // _RECORDS_PER_BURST)
-    total = bursts * _RECORDS_PER_BURST
+def bench_sniffer(packets: int, records_per_burst: int, repeats: int) -> BenchmarkResult:
+    """Packets/second through emission and capture of short data bursts.
+
+    Each ``_emit_data`` call ships ``records_per_burst`` full-MSS records as
+    one flow segment.  Campaign bursts are short (about two records on
+    average), so this measures the per-burst cost the campaign pays most.
+    """
+    bursts = max(1, packets // records_per_burst)
+    total = bursts * records_per_burst
 
     def make_workload():
         _, _, connection = _bench_connection()
@@ -75,7 +80,7 @@ def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
         def workload() -> None:
             emit = connection._emit_data
             for _ in range(bursts):
-                emit(0.0, 1.0, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench")
+                emit(0.0, 1.0, records_per_burst * 1460, PacketDirection.OUT, note="bench")
 
         return workload
 
@@ -84,33 +89,27 @@ def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
         name="sniffer_packets_per_s",
         unit="packets/s",
         higher_is_better=True,
-        params={"packets": total, "records_per_burst": _RECORDS_PER_BURST},
+        params={"packets": total, "records_per_burst": records_per_burst},
         value=round(measured.best, 3),
         samples=tuple(round(sample, 3) for sample in measured.samples),
     )
 
 
 def bench_flow_segments(segments: int, repeats: int) -> BenchmarkResult:
-    """Flow segments/second through elided emission and capture.
+    """Flow segments/second through emission and capture of bulk bursts.
 
-    Each ``_emit_data`` call is large enough to take the flow-elision fast
-    path, so one call emits a handful of head/tail packet rows plus exactly
-    one :class:`~repro.netsim.packet.FlowSegment`; the rate counts the
-    segments (i.e. the elided bursts) the sniffer absorbs per second.
+    Each ``_emit_data`` call ships one 1000-record burst as one
+    :class:`~repro.netsim.packet.FlowSegment`; the rate counts the
+    segments the sniffer absorbs per second.
     """
-    from repro.netsim.tcp import set_flow_elision
 
     def make_workload():
         _, _, connection = _bench_connection()
 
         def workload() -> None:
-            previous = set_flow_elision(True)
-            try:
-                emit = connection._emit_data
-                for _ in range(segments):
-                    emit(0.0, 1.0, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench")
-            finally:
-                set_flow_elision(previous)
+            emit = connection._emit_data
+            for _ in range(segments):
+                emit(0.0, 1.0, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench")
 
         return workload
 
@@ -383,7 +382,7 @@ def run_benchmarks(
     scenario = scenario if scenario is not None else BASELINE
     services = list(services) if services is not None else list(SERVICE_NAMES)
     results = [
-        bench_sniffer(200_000, repeats),
+        bench_sniffer(200_000, 2, repeats),
         bench_flow_segments(5_000, repeats),
         bench_trace_queries(50_000, 50, repeats),
         bench_transfers(2_000, repeats),

@@ -370,33 +370,6 @@ class TestCli:
                 paths[jobs] = handle.read()
         assert paths[1] == paths[2]
 
-    def test_trace_export_is_flow_elision_invariant(self, tmp_path):
-        # The Chrome spans of a flow-elided run must equal those of a
-        # forced-materialization run: elision changes how bulk bursts are
-        # *stored*, never what the simulation does or when.  (The counter
-        # half differs by design — netsim.flow_segments only exists when
-        # elision is on — but chrome export carries spans and meta only.)
-        from repro.netsim.tcp import set_flow_elision
-        from repro.obs.export import write_trace
-
-        exports = {}
-        for elide in (True, False):
-            previous = set_flow_elision(elide)
-            try:
-                campaign = make_runner(stages=("syn_series", "performance")).run()
-            finally:
-                set_flow_elision(previous)
-            trace_path = str(tmp_path / f"trace_{elide}.json")
-            write_trace(trace_path, campaign.trace)
-            out = str(tmp_path / f"chrome_{elide}.json")
-            code = self.run_main(
-                ["trace", "export", "--input", trace_path, "--output", out,
-                 "--format", "chrome", "--sim-only"]
-            )
-            assert code == 0
-            with open(out, "rb") as handle:
-                exports[elide] = handle.read()
-        assert exports[True] == exports[False]
 
 class TestLogging:
     def test_configure_logging_is_idempotent(self):

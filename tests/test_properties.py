@@ -203,30 +203,150 @@ class TestSlowStartClosedForm:
         assert slow_start_penalty(10_000, mbps(10), 0.0) == 0.0
 
 
-class TestBatchedEmissionEquivalence:
-    """The batched sniffer path and per-packet replay must capture identically."""
+#: Record cap of the per-record burst loop below (``MAX_BURST_RECORDS``).
+_ORACLE_MAX_RECORDS = 2048
+
+
+def _eager_emit_data(self, start, end, nbytes, direction, *, note):
+    """Per-record burst emission, kept verbatim as the oracle.
+
+    The simulator ships every data burst as one
+    :class:`~repro.netsim.packet.FlowSegment`.  This is the loop it ran
+    before: one :class:`Packet` per record, built eagerly.  A trace captured
+    with segments must expand to exactly these records — timestamps as
+    exact floats, byte counts, addresses and capture order — because the
+    golden documents pin every figure computed from the capture.
+    """
+    import math
+
+    from repro.netsim.packet import MSS, TCP_IP_HEADER_BYTES
+
+    if nbytes <= 0:
+        return
+    segments = math.ceil(nbytes / MSS)
+    records = min(segments, _ORACLE_MAX_RECORDS)
+    segs_per_record = segments / records
+    span = max(end - start, 0.0)
+    src, dst, sport, dport = self._addresses(direction)
+    remaining = nbytes
+    timestamps = []
+    payloads = []
+    headers = []
+    boundary = 0
+    for index in range(records):
+        next_boundary = int(round((index + 1) * segs_per_record))
+        seg_count = max(next_boundary - boundary, 1)
+        boundary = next_boundary
+        payload = min(remaining, seg_count * MSS)
+        if payload <= 0:
+            break
+        remaining -= payload
+        timestamps.append(start + span * (index + 1) / records)
+        payloads.append(payload)
+        headers.append(TCP_IP_HEADER_BYTES * seg_count)
+    for timestamp, payload, header in zip(timestamps, payloads, headers):
+        self._sim.emit(
+            Packet(
+                timestamp=timestamp,
+                src=src,
+                dst=dst,
+                src_port=sport,
+                dst_port=dport,
+                direction=direction,
+                flags=TCPFlags.ACK | TCPFlags.PSH,
+                payload_len=payload,
+                headers_len=header,
+                connection_id=self.connection_id,
+                hostname=self.remote.hostname,
+                note=note,
+            )
+        )
+
+
+def _oracle_emission():
+    """Context manager: connections emit bursts with the per-record oracle."""
+    from unittest import mock
+
+    from repro.netsim.tcp import TCPConnection
+
+    return mock.patch.object(TCPConnection, "_emit_data", _eager_emit_data)
+
+
+class TestFlowSegmentOracle:
+    """A trace captured as flow segments expands to the per-record oracle.
+
+    Every comparison is exact: ``sorted_columns()`` equality covers each
+    field of each record, float timestamps included (``==``, no tolerance).
+    """
+
+    #: Burst sizes in bytes, by record count: 1 record (a byte, a full MSS),
+    #: 2-23 records, 24+ records, exactly 2048 records, and more than 2048
+    #: segments folded into 2048 records (evenly and unevenly).
+    BURST_SIZES = (
+        1,
+        1460,
+        1461,
+        2 * 1460,
+        7 * 1460 - 300,
+        23 * 1460,
+        24 * 1460,
+        24 * 1460 + 1,
+        100 * 1460 - 1,
+        2047 * 1460 + 5,
+        2048 * 1460,
+        2048 * 1460 + 1,
+        2049 * 1460,
+        3 * 2048 * 1460 - 7,
+        5_000_000,
+    )
 
     @staticmethod
-    def _run_workload(batched: bool, transfers):
+    def _capture(oracle, workload, *, rtt=0.02, up_mbps=50.0, down_mbps=100.0, tls=None):
+        """Run ``workload(connection)`` on a fresh simulator; return the trace."""
+        import contextlib
+
         from repro.capture.sniffer import Sniffer
         from repro.netsim.endpoint import Endpoint
         from repro.netsim.simulator import NetworkSimulator
 
-        path = NetworkPath(rtt=0.02, uplink_bps=mbps(50), downlink_bps=mbps(100))
-        simulator = NetworkSimulator()
-        if batched:
+        path = NetworkPath(rtt=rtt, uplink_bps=mbps(up_mbps), downlink_bps=mbps(down_mbps))
+        with _oracle_emission() if oracle else contextlib.nullcontext():
+            simulator = NetworkSimulator()
             sniffer = Sniffer(simulator)
-            trace = sniffer.trace
-        else:
-            # A bare callable has no accept_batch: the simulator materializes
-            # each burst and replays it packet by packet (the legacy path).
-            trace = PacketTrace()
-            simulator.add_sniffer(trace.append)
-        connection = simulator.open_connection(Endpoint("h.example", "192.0.2.5", 443), path)
-        for nbytes, upstream in transfers:
-            connection.send(nbytes, upstream=upstream)
-        connection.close()
-        return trace
+            connection = simulator.open_connection(Endpoint("h.example", "192.0.2.5", 443), path, tls=tls)
+            workload(connection)
+            connection.close()
+        return sniffer.trace
+
+    def _pair(self, workload, **kwargs):
+        return self._capture(False, workload, **kwargs), self._capture(True, workload, **kwargs)
+
+    @staticmethod
+    def _requests(transfers):
+        def workload(connection):
+            for up_bytes, down_bytes in transfers:
+                connection.request(up_bytes, down_bytes, note="prop")
+
+        return workload
+
+    def test_burst_sizes_are_field_identical(self):
+        from repro.netsim.packet import burst_record_plan
+
+        plans = [burst_record_plan(nbytes) for nbytes in self.BURST_SIZES]
+        records = {count for _, count in plans}
+        assert 1 in records and 2048 in records
+        assert any(2 <= count <= 23 for count in records)
+        assert any(24 <= count < 2048 for count in records)
+        assert any(segments > 2048 for segments, _ in plans)
+        for nbytes in self.BURST_SIZES:
+            for upstream in (True, False):
+
+                def workload(connection, nbytes=nbytes, upstream=upstream):
+                    connection.send(nbytes, upstream=upstream)
+
+                captured, oracle = self._pair(workload)
+                assert len(captured) == len(oracle), nbytes
+                assert captured.sorted_columns() == oracle.sorted_columns(), nbytes
 
     @given(
         transfers=st.lists(
@@ -236,55 +356,14 @@ class TestBatchedEmissionEquivalence:
         )
     )
     @settings(max_examples=30, deadline=None)
-    def test_traces_are_field_identical(self, transfers):
-        batched = self._run_workload(True, transfers)
-        replayed = self._run_workload(False, transfers)
-        assert len(batched) == len(replayed)
-        assert list(batched.packets) == list(replayed.packets)
+    def test_transfers_are_field_identical(self, transfers):
+        def workload(connection):
+            for nbytes, upstream in transfers:
+                connection.send(nbytes, upstream=upstream)
 
-    def test_aggregates_agree_without_materialization(self):
-        transfers = [(350_000, True), (1_200, False), (80_000, True)]
-        batched = self._run_workload(True, transfers)
-        replayed = self._run_workload(False, transfers)
-        assert batched.total_bytes() == replayed.total_bytes()
-        assert batched.payload_bytes() == replayed.payload_bytes()
-        assert batched.uploaded_payload_bytes() == replayed.uploaded_payload_bytes()
-        assert analysis.count_tcp_syns(batched) == analysis.count_tcp_syns(replayed)
-        assert analysis.burst_payload_sizes(batched) == analysis.burst_payload_sizes(replayed)
-
-
-class TestFlowElisionEquivalence:
-    """Elided capture, lazily materialized, must be bit-identical to eager.
-
-    The flow fast path stores bulk-transfer bursts as one
-    :class:`~repro.netsim.packet.FlowSegment` row and only expands it when a
-    per-packet query forces it.  Every field of the expanded trace — exact
-    float timestamps included — must equal what eager per-record emission
-    produces, across sizes, RTTs, rates and request/response mixes;
-    otherwise the byte-identity contract of the results documents breaks.
-    """
-
-    @staticmethod
-    def _run_workload(elide: bool, transfers, rtt, up_mbps, down_mbps):
-        from repro.capture.sniffer import Sniffer
-        from repro.netsim.endpoint import Endpoint
-        from repro.netsim.simulator import NetworkSimulator
-        from repro.netsim.tcp import set_flow_elision
-
-        path = NetworkPath(rtt=rtt, uplink_bps=mbps(up_mbps), downlink_bps=mbps(down_mbps))
-        previous = set_flow_elision(elide)
-        try:
-            simulator = NetworkSimulator()
-            sniffer = Sniffer(simulator)
-            connection = simulator.open_connection(
-                Endpoint("h.example", "192.0.2.5", 443), path
-            )
-            for up_bytes, down_bytes in transfers:
-                connection.request(up_bytes, down_bytes, note="prop")
-            connection.close()
-        finally:
-            set_flow_elision(previous)
-        return sniffer.trace
+        captured, oracle = self._pair(workload)
+        assert len(captured) == len(oracle)
+        assert list(captured.packets) == list(oracle.packets)
 
     transfer_lists = st.lists(
         st.tuples(
@@ -302,13 +381,31 @@ class TestFlowElisionEquivalence:
         down_mbps=st.floats(min_value=0.5, max_value=100.0),
     )
     @settings(max_examples=25, deadline=None)
-    def test_lazy_expansion_is_field_identical(self, transfers, rtt, up_mbps, down_mbps):
-        elided = self._run_workload(True, transfers, rtt, up_mbps, down_mbps)
-        eager = self._run_workload(False, transfers, rtt, up_mbps, down_mbps)
-        assert len(elided) == len(eager)
-        # Column-by-column, field-by-field, exact — including float
-        # timestamps (== on floats, no tolerance).
-        assert elided.sorted_columns() == eager.sorted_columns()
+    def test_requests_are_field_identical(self, transfers, rtt, up_mbps, down_mbps):
+        captured, oracle = self._pair(self._requests(transfers), rtt=rtt, up_mbps=up_mbps, down_mbps=down_mbps)
+        assert len(captured) == len(oracle)
+        assert captured.sorted_columns() == oracle.sorted_columns()
+
+    def test_zero_span_bursts_are_field_identical(self):
+        from repro.netsim.packet import PacketDirection as Direction
+        from repro.netsim.tls import TLSParameters
+
+        # The single-RTT TLS handshake emits its client-finished flight with
+        # start == end; the direct calls add multi-record zero-span bursts.
+        def workload(connection):
+            now = connection._sim.now
+            for nbytes in (1, 5 * 1460, 300 * 1460 + 11, 2049 * 1460):
+                connection._emit_data(now, now, nbytes, Direction.OUT, note="zero-span")
+            connection.send(40_000)
+
+        tls = TLSParameters().resumed()
+        captured, oracle = self._pair(workload, tls=tls)
+        assert captured.sorted_columns() == oracle.sorted_columns()
+        columns = captured.sorted_columns()
+        finished = [ts for ts, note in zip(columns.timestamps, columns.notes) if note == "tls-client-finished"]
+        assert len(set(finished)) == 1
+        zero_span = [ts for ts, note in zip(columns.timestamps, columns.notes) if note == "zero-span"]
+        assert len(zero_span) == 1 + 5 + 301 + 2048 and len(set(zero_span)) == 1
 
     @given(
         transfers=transfer_lists,
@@ -317,32 +414,116 @@ class TestFlowElisionEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_windowed_views_are_field_identical(self, transfers, rtt, cut):
-        elided = self._run_workload(True, transfers, rtt, 50.0, 100.0)
-        eager = self._run_workload(False, transfers, rtt, 50.0, 100.0)
-        first = eager.first_timestamp() or 0.0
-        last = eager.last_timestamp() or 0.0
-        # A window whose edges land mid-segment exercises subrange trimming.
+        captured, oracle = self._pair(self._requests(transfers), rtt=rtt)
+        first = oracle.first_timestamp() or 0.0
+        last = oracle.last_timestamp() or 0.0
+        # Window edges land mid-burst: between/after narrow the segment rows.
         edge = first + (last - first) * cut
-        for window_elided, window_eager in (
-            (elided.between(edge, last), eager.between(edge, last)),
-            (elided.between(first, edge), eager.between(first, edge)),
-            (elided.after(edge), eager.after(edge)),
+        for window_captured, window_oracle in (
+            (captured.between(edge, last), oracle.between(edge, last)),
+            (captured.between(first, edge), oracle.between(first, edge)),
+            (captured.after(edge), oracle.after(edge)),
         ):
-            assert len(window_elided) == len(window_eager)
-            assert window_elided.sorted_columns() == window_eager.sorted_columns()
+            assert len(window_captured) == len(window_oracle)
+            assert window_captured.sorted_columns() == window_oracle.sorted_columns()
+
+    def test_window_edges_inside_one_burst(self):
+        def workload(connection):
+            connection.send(2_000_000)
+
+        captured, oracle = self._pair(workload)
+        timestamps = oracle.sorted_columns().timestamps
+        inside = [timestamps[4], timestamps[len(timestamps) // 2], timestamps[-3]]
+        for lo in inside:
+            for hi in inside:
+                if hi < lo:
+                    continue
+                assert captured.between(lo, hi).sorted_columns() == oracle.between(lo, hi).sorted_columns()
+            assert captured.after(lo).sorted_columns() == oracle.after(lo).sorted_columns()
 
     @given(transfers=transfer_lists)
     @settings(max_examples=15, deadline=None)
-    def test_aggregates_agree_without_materialization(self, transfers):
-        elided = self._run_workload(True, transfers, 0.02, 50.0, 100.0)
-        eager = self._run_workload(False, transfers, 0.02, 50.0, 100.0)
-        # Aggregate paths read the segment rows directly — no expansion.
-        assert elided.total_bytes() == eager.total_bytes()
-        assert elided.payload_bytes() == eager.payload_bytes()
-        assert elided.uploaded_payload_bytes() == eager.uploaded_payload_bytes()
-        assert elided.first_timestamp() == eager.first_timestamp()
-        assert elided.last_timestamp() == eager.last_timestamp()
-        assert analysis.count_tcp_syns(elided) == analysis.count_tcp_syns(eager)
-        assert analysis.syn_time_series(elided) == analysis.syn_time_series(eager)
-        assert analysis.classify_hosts(elided) == analysis.classify_hosts(eager)
-        assert not elided.has_segments() or elided.segment_columns() is not None
+    def test_aggregates_agree_without_expansion(self, transfers):
+        captured, oracle = self._pair(self._requests(transfers))
+        # Each burst is one row until a per-packet query expands it.
+        rows = len(captured.segment_columns().timestamps)
+        assert rows == len(oracle) - sum(
+            segment.record_count - 1 for segment in captured._seg if segment is not None
+        )
+        assert captured.total_bytes() == oracle.total_bytes()
+        assert captured.payload_bytes() == oracle.payload_bytes()
+        assert captured.uploaded_payload_bytes() == oracle.uploaded_payload_bytes()
+        assert captured.downloaded_payload_bytes() == oracle.downloaded_payload_bytes()
+        assert captured.first_timestamp() == oracle.first_timestamp()
+        assert captured.last_timestamp() == oracle.last_timestamp()
+        assert analysis.count_tcp_syns(captured) == analysis.count_tcp_syns(oracle)
+        assert analysis.syn_time_series(captured) == analysis.syn_time_series(oracle)
+        assert analysis.classify_hosts(captured) == analysis.classify_hosts(oracle)
+        assert len(captured.segment_columns().timestamps) == rows
+        assert analysis.burst_payload_sizes(captured) == analysis.burst_payload_sizes(oracle)
+
+    def test_send_aggregates_agree_without_expansion(self):
+        def workload(connection):
+            for nbytes, upstream in ((350_000, True), (1_200, False), (80_000, True)):
+                connection.send(nbytes, upstream=upstream)
+
+        captured, oracle = self._pair(workload)
+        rows = len(captured.segment_columns().timestamps)
+        # Three bursts, one row each, plus the handshake and teardown packets.
+        assert rows < len(oracle)
+        assert captured.total_bytes() == oracle.total_bytes()
+        assert captured.payload_bytes() == oracle.payload_bytes()
+        assert captured.uploaded_payload_bytes() == oracle.uploaded_payload_bytes()
+        assert captured.downloaded_payload_bytes() == oracle.downloaded_payload_bytes()
+        assert analysis.count_tcp_syns(captured) == analysis.count_tcp_syns(oracle)
+        assert len(captured.segment_columns().timestamps) == rows
+        assert analysis.burst_payload_sizes(captured) == analysis.burst_payload_sizes(oracle)
+
+    def test_tracer_counts_match_oracle(self):
+        from repro.obs.tracer import Tracer, activate
+
+        workload = self._requests([(350_000, 1_200), (1, 80_000), (2049 * 1460, 3 * 1460)])
+        counters = {}
+        traces = {}
+        for oracle in (False, True):
+            tracer = Tracer()
+            with activate(tracer):
+                traces[oracle] = self._capture(oracle, workload)
+            counters[oracle] = {
+                name: tracer.metrics.counter(name).value
+                for name in ("netsim.packets", "netsim.wire_bytes", "netsim.flow_segments")
+            }
+        assert counters[False]["netsim.packets"] == len(traces[True]) == counters[True]["netsim.packets"]
+        assert counters[False]["netsim.wire_bytes"] == traces[True].total_bytes() == counters[True]["netsim.wire_bytes"]
+        # One segment per data burst: the request and response of each of
+        # the three exchanges.
+        assert counters[False]["netsim.flow_segments"] == 6
+        assert counters[True]["netsim.flow_segments"] == 0
+
+    def test_campaign_trace_and_results_match_oracle(self):
+        from repro.core.campaign import CampaignConfig, CampaignRunner
+        from repro.obs.recorder import strip_wall
+        from repro.specio import canonical_text
+
+        def run():
+            campaign = CampaignRunner(
+                ["dropbox", "googledrive"],
+                ["syn_series", "performance"],
+                seed=42,
+                jobs=1,
+                config=CampaignConfig(repetitions=1, idle_duration=60.0, resolver_count=50),
+                trace=True,
+            ).run()
+            trace = strip_wall(campaign.trace)
+            bursts = [cell["metrics"]["counters"].pop("netsim.flow_segments", 0) for cell in trace["cells"]]
+            return campaign.results_json_dict(), trace, sum(bursts)
+
+        captured_results, captured_trace, captured_bursts = run()
+        with _oracle_emission():
+            oracle_results, oracle_trace, oracle_bursts = run()
+        assert captured_bursts > 0 and oracle_bursts == 0
+        assert canonical_text(captured_results) == canonical_text(oracle_results)
+        # Spans and every other counter (netsim.packets and netsim.wire_bytes
+        # included) are properties of the simulation, not of how a burst is
+        # stored.
+        assert canonical_text(captured_trace) == canonical_text(oracle_trace)

@@ -206,6 +206,53 @@ class TestCLI:
         assert "1 hits, 0 misses" in capsys.readouterr().out
 
 
+class TestEdgeInputs:
+    """Out-of-range plan sizes fail at parse time with exit 2, naming the flag.
+
+    Before, ``--repetitions 0`` planned an empty campaign and exited 0, a
+    negative ``--minutes`` or zero ``--resolvers`` failed a cell (exit 1),
+    and the per-figure commands died with a traceback.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["all", "--stages", "performance", "--repetitions", "0"], "--repetitions"),
+            (["all", "--stages", "idle", "--minutes", "-1"], "--minutes"),
+            (["all", "--stages", "datacenters", "--resolvers", "0"], "--resolvers"),
+            (["all", "--stages", "idle", "--minutes", "nan"], "--minutes"),
+            (["idle", "--minutes", "-3"], "--minutes"),
+            (["datacenters", "--resolvers", "-5"], "--resolvers"),
+            (["performance", "--repetitions", "0"], "--repetitions"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--services", "dropbox"] + argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra, flag",
+        [
+            ("shard", ["--shard", "1/1", "--stages", "performance", "--repetitions", "0"], "--repetitions"),
+            ("shard", ["--steal", "--stages", "datacenters", "--resolvers", "-1"], "--resolvers"),
+            ("merge", ["--stages", "idle", "--minutes", "-0.5"], "--minutes"),
+        ],
+    )
+    def test_shard_and_merge_reject_with_exit_2(self, command, extra, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--services", "dropbox", command, "--store", str(tmp_path / "store")] + extra)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self, capsys):
+        assert main(["--services", "dropbox", "idle", "--minutes", "0"]) == 0
+        assert main(["--services", "dropbox", "datacenters", "--resolvers", "1"]) == 0
+        assert main(["--services", "dropbox", "all", "--stages", "performance", "--repetitions", "1", "--jobs", "1"]) == 0
+        capsys.readouterr()
+
+
 class TestDistributedCLI:
     CAMPAIGN = ["--stages", "idle,performance", "--minutes", "1", "--repetitions", "1"]
 
